@@ -13,7 +13,7 @@ from .algebra import (ExponentVector, equivalent_by_eval, eval_by_depth,
 from .counting import (ClassReport, PrefixedWord, count_minimal_brute,
                        cyclic_shift, enumerate_classes,
                        enumerate_prefixed_words, fuss_catalan,
-                       modular_fuss_catalan, multinomial)
+                       modular_fuss_catalan)
 from .dyck import (DyckTuple, canonicalize, compress, depth_to_tuple,
                    enumerate_tuples, equivalent, from_dyck, is_minimal,
                    parse_dyck, print_dyck, signature, to_dyck)
@@ -37,7 +37,7 @@ __all__ = [
     "enumerate_classes", "enumerate_prefixed_words", "enumerate_trees",
     "enumerate_tuples", "equivalent", "equivalent_by_eval", "eval_by_depth",
     "eval_recursive", "from_dyck", "fuss_catalan", "is_minimal", "leaf",
-    "left_assoc_meet", "meet", "modular_fuss_catalan", "multinomial", "parse",
-    "parse_dyck", "print_dyck", "rotate_left", "rotate_right",
-    "rotation_sites", "signature", "to_dyck", "unparse",
+    "left_assoc_meet", "meet", "modular_fuss_catalan", "parse", "parse_dyck",
+    "print_dyck", "rotate_left", "rotate_right", "rotation_sites",
+    "signature", "to_dyck", "unparse",
 ]

@@ -3,8 +3,9 @@
 Subcommands: count, equiv, canon, convert, table, verify.  Exit codes:
 0 for success (and for "equivalent" / "all cells agree"), 1 for a
 negative verdict (not equivalent, or a count mismatch), 2 for usage or
-data errors.  Output is deterministic; counts are printed as decimal
-strings.  An expression argument of "-" reads one line from stdin.
+data errors, 3 for an internal error (a crash, never a verdict).
+Output is deterministic; counts are printed as decimal strings.  An
+expression argument of "-" reads one line from stdin.
 """
 
 from __future__ import annotations
@@ -32,14 +33,10 @@ def _operand(text: str) -> str:
     return text
 
 
-def _parse_dyck_arg(text: str, params: Params) -> dyck.DyckTuple:
-    return dyck.parse_dyck(text, params)
-
-
 def _render(d: dyck.DyckTuple, fmt: str, params: Params) -> str:
     if fmt == "expr":
         return expr.unparse(dyck.from_dyck(d, params))
-    if fmt in ("ns", "dyck"):
+    if fmt == "ns":
         return dyck.print_dyck(d, "ns")
     return dyck.print_dyck(d, "tuple")
 
@@ -77,7 +74,7 @@ def _cmd_canon(args) -> int:
     if args.in_format == "expr":
         d = dyck.to_dyck(expr.parse(text, params), params)
     else:
-        d = _parse_dyck_arg(text, params)
+        d = dyck.parse_dyck(text, params)
     minimal = dyck.canonicalize(d, params)
     record = {
         "canonical": _render(minimal, args.out_format, params),
@@ -93,7 +90,7 @@ def _cmd_convert(args) -> int:
     if args.from_format == "expr":
         d = dyck.to_dyck(expr.parse(text, params), params)
     else:
-        d = _parse_dyck_arg(text, params)
+        d = dyck.parse_dyck(text, params)
     if args.to_format == "expr":
         print(expr.unparse(dyck.from_dyck(d, params)))
     elif args.to_format == "dyck-ns":
@@ -184,7 +181,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="in_format", choices=("expr", "dyck"),
                    default="expr")
     p.add_argument("--out", dest="out_format",
-                   choices=("expr", "tuple", "ns", "dyck"), default="expr")
+                   choices=("expr", "tuple", "ns"), default="expr")
     p.add_argument("input")
     p.set_defaults(func=_cmd_canon)
 
@@ -229,3 +226,11 @@ def main(argv=None) -> int:
         return 2
     except BrokenPipeError:
         return 2
+    except Exception as error:
+        print("error: internal: %s: %s" % (type(error).__name__, error),
+              file=sys.stderr)
+        return 3
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -6,9 +6,15 @@ The number of classes of parenthesizations with L = N-1 down-steps is
 
 where S_l is the number of words made of an up-run of l followed by L
 single down-steps each carrying a trailing up-run that is a multiple of
-m-1 smaller than K = k(m-1), the runs summing to L.  S_l is a sum of
-multinomials; the l/L factor is the cycle-counting fraction, and each
-l * S_l is exactly divisible by L.
+m-1 smaller than K = k(m-1), the runs summing to L.  Dividing the runs
+by m-1, S_l counts L parts in 0..k-1 with sum w = (L-l)/(m-1), so by
+inclusion-exclusion on the parts that reach k
+
+    S_l = sum over i in 0..floor(w/k) of
+          (-1)^i * C(L, i) * C(L-1+w-ik, L-1).
+
+The l/L factor is the cycle-counting fraction, and each l * S_l is
+exactly divisible by L.
 
 Everything here is exact integer arithmetic; the brute-force routines
 exist so the formula is never the only route to a number.
@@ -18,16 +24,15 @@ from __future__ import annotations
 
 import dataclasses as dc
 import os
-from math import comb, factorial, prod
+from math import comb
 from typing import Iterator, Optional
 
 from .dyck import (DyckTuple, canonicalize, enumerate_tuples, from_dyck,
-                   is_minimal, signature, to_dyck)
+                   is_minimal, signature)
 from .errors import (ArityError, BudgetError, DomainError, FormatError,
                      InternalInvariantError)
 from .params import Params
-from .tree import (Address, Tree, enumerate_trees, rotate_left, rotate_right,
-                   rotation_sites)
+from .tree import Address, Tree, rotate_left, rotate_right, rotation_sites
 
 RotationStep = tuple[str, Address, int]  # (direction, address, position)
 
@@ -48,16 +53,6 @@ def _resolve_budget(budget: Optional[int]) -> int:
                           % (BUDGET_ENV_VAR, raw)) from None
 
 
-def multinomial(n: int, parts) -> int:
-    """n! / (p1! .. pr!) for a composition p of n."""
-    parts = tuple(parts)
-    if n < 0 or any(not isinstance(p, int) or p < 0 for p in parts):
-        raise DomainError("multinomial needs non-negative integers")
-    if sum(parts) != n:
-        raise DomainError("parts %r do not sum to %d" % (parts, n))
-    return factorial(n) // prod(factorial(p) for p in parts)
-
-
 def fuss_catalan(m: int, leaves: int) -> int:
     """Number of m-ary trees with the given leaf count."""
     if not (isinstance(m, int) and m >= 2):
@@ -72,20 +67,6 @@ def fuss_catalan(m: int, leaves: int) -> int:
     return q
 
 
-def _weighted_compositions(parts: int, total: int, weight: int) -> Iterator[tuple[int, ...]]:
-    """Tuples (m1..m_parts) of non-negative integers with sum `total`
-    and sum of (j-1)*m_j equal to `weight`."""
-    if parts == 1:
-        if weight == 0 and total >= 0:
-            yield (total,)
-        return
-    unit = parts - 1  # weight carried by each m_parts
-    for last in range(0, min(total, weight // unit) + 1):
-        for rest in _weighted_compositions(parts - 1, total - last,
-                                           weight - unit * last):
-            yield rest + (last,)
-
-
 def modular_fuss_catalan(params: Params, length: int) -> int:
     """Number of k-equivalence classes of tuples of the given length."""
     s, k = params.step, params.k
@@ -95,8 +76,9 @@ def modular_fuss_catalan(params: Params, length: int) -> int:
     total = 0
     for run in range(s, length + 1, s):
         weight = (length - run) // s
-        inner = sum(multinomial(length, parts)
-                    for parts in _weighted_compositions(k, length, weight))
+        inner = sum((-1) ** i * comb(length, i)
+                    * comb(length - 1 + weight - i * k, length - 1)
+                    for i in range(weight // k + 1))
         q, r = divmod(run * inner, length)
         if r:
             raise InternalInvariantError(
@@ -182,13 +164,15 @@ def enumerate_classes(params: Params, leaves: int, with_traces: bool = False,
     if total > limit:
         raise BudgetError("%d trees exceed the budget of %d" % (total, limit))
 
-    groups: dict[tuple[int, ...], list[Tree]] = {}
-    for t in enumerate_trees(params, leaves):
-        groups.setdefault(signature(to_dyck(t, params), params), []).append(t)
+    groups: dict[tuple[int, ...], tuple[DyckTuple, list[Tree]]] = {}
+    for d in enumerate_tuples(params, leaves - 1):
+        key = signature(d, params)
+        if key not in groups:
+            groups[key] = (canonicalize(d, params), [])
+        groups[key][1].append(from_dyck(d, params))
 
     reports = []
-    for members in groups.values():
-        rep = canonicalize(to_dyck(members[0], params), params)
+    for rep, members in groups.values():
         traces = None
         if with_traces:
             traces = _traces_to_seed(members, from_dyck(rep, params), params)

@@ -135,12 +135,15 @@ def from_dyck(d: DyckTuple, params: Params) -> Tree:
 
     def down() -> None:
         nonlocal pos, carry
-        assert carry == 0, "up-run not exhausted before a down-step"
+        if carry != 0:
+            raise InternalInvariantError(
+                "up-run not exhausted before a down-step")
         pos += 1
         carry = entries[pos] if pos < length else 0
 
     root = subtree()
-    assert pos == length and carry == 0, "path not fully consumed"
+    if pos != length or carry != 0:
+        raise InternalInvariantError("path not fully consumed")
     return root
 
 

@@ -4,11 +4,15 @@ from __future__ import annotations
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 import fusscat.cli as cli
 import fusscat.counting
+import fusscat.dyck
 
 
 @pytest.fixture
@@ -105,6 +109,14 @@ def test_equiv_malformed_input(run):
     assert "offset" in err
 
 
+def test_equiv_crash_is_an_internal_error_not_a_verdict(run):
+    flat = "*".join("x%d" % i for i in range(1, 1001))
+    code, out, err = run("equiv", "--m", "2", "--k", "2", flat, flat)
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error: internal: ")
+
+
 # --------------------------------------------------------------------- canon
 
 def test_canon_expression_roundtrip(run):
@@ -137,6 +149,13 @@ def test_canon_accepts_ns_input(run):
                        "--in", "dyck", "--out", "expr", "NNSSNNSS")
     assert code == 0
     assert json.loads(out)["canonical"] == "x1*x2*(x3*x4*x5)"
+
+
+def test_canon_has_no_dyck_output_alias(run):
+    code, out, err = run("canon", "--m", "3", "--k", "2", "--out", "dyck",
+                         "x1*x2*x3")
+    assert code == 2
+    assert "invalid choice" in err
 
 
 # ------------------------------------------------------------------- convert
@@ -262,3 +281,24 @@ def test_missing_subcommand_is_a_usage_error(run):
 def test_unknown_subcommand_is_a_usage_error(run):
     code, _, _ = run("frobnicate")
     assert code == 2
+
+
+def test_unexpected_exception_exits_3(run, monkeypatch):
+    def broken(d, params):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(fusscat.dyck, "signature", broken)
+    code, out, err = run("equiv", "--m", "3", "--k", "2", "x1*x2*x3",
+                         "x1*x2*x3")
+    assert (code, out) == (3, "")
+    assert err == "error: internal: ValueError: boom\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-m", "fusscat.cli", "count", "--m", "3", "--k",
+         "2", "--length", "6"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "10\n", "")

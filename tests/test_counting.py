@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import itertools
-from math import comb as binom
 
 import pytest
 
@@ -43,23 +42,33 @@ def _oracle_minimal_count(m, k, length):
                if all(e < modulus for e in t[1:]))
 
 
+def _ballot_minimal_counts(m, k, top):
+    """Minimal tuples of every length 0..top by a ballot-style dynamic
+    program on (index, prefix sum); no library calls.
+
+    The first entry is any positive multiple of m-1, later entries are
+    multiples of m-1 below K, and the prefix sum after i entries is at
+    least i.  A tuple of length L ends with prefix sum exactly L, so one
+    pass up to `top` counts every length: entry L of the result is the
+    number of paths at state (L, L).  Prefix sums above `top` can never
+    come back down, so they are dropped.
+    """
+    step = m - 1
+    row = {p: 1 for p in range(step, top + 1, step)}  # after index 1
+    counts = [1, row.get(1, 0)]
+    for index in range(2, top + 1):
+        nxt = {}
+        for p, ways in row.items():
+            for e in range(0, k * step, step):
+                q = p + e
+                if index <= q <= top:
+                    nxt[q] = nxt.get(q, 0) + ways
+        row = nxt
+        counts.append(row.get(index, 0))
+    return counts
+
+
 # ------------------------------------------------------------------ numerics
-
-def test_multinomial_values():
-    assert fc.multinomial(6, (4, 2)) == 15
-    assert fc.multinomial(6, (5, 1)) == 6
-    assert fc.multinomial(6, (6, 0)) == 1
-    assert fc.multinomial(0, ()) == 1
-    for n, a in ((7, 3), (10, 4)):
-        assert fc.multinomial(n, (a, n - a)) == binom(n, a)
-
-
-def test_multinomial_rejects_bad_parts():
-    with pytest.raises(fc.DomainError):
-        fc.multinomial(5, (3, 3))
-    with pytest.raises(fc.DomainError):
-        fc.multinomial(2, (3, -1))
-
 
 def test_fuss_catalan_values():
     assert fc.fuss_catalan(3, 7) == 12
@@ -111,6 +120,28 @@ def test_formula_agrees_with_independent_oracle_on_a_small_grid():
             expected = _oracle_minimal_count(params.m, params.k, length)
             assert fc.modular_fuss_catalan(params, length) == expected
             assert fc.count_minimal_brute(params, length) == expected
+
+
+def test_ballot_dp_agrees_with_independent_oracle():
+    for params in GRID_PARAMS:
+        counts = _ballot_minimal_counts(params.m, params.k, 8)
+        assert counts == [_oracle_minimal_count(params.m, params.k, length)
+                          for length in range(0, 9)]
+
+
+def test_formula_agrees_with_ballot_dp_up_to_length_200():
+    # brute force stops near L = 14; the dynamic program is polynomial
+    for m in (2, 3, 4):
+        step = m - 1
+        lengths = sorted(set(range(step, 25, step))
+                         | set(range(step * 13, 201, step * 13))
+                         | {200 - 200 % step})
+        for k in range(1, 7):
+            counts = _ballot_minimal_counts(m, k, lengths[-1])
+            params = fc.Params(m, k)
+            for length in lengths:
+                assert fc.modular_fuss_catalan(params, length) \
+                    == counts[length], (m, k, length)
 
 
 def test_count_minimal_brute_accepts_the_empty_length():

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 
@@ -58,6 +62,33 @@ def test_from_dyck_rejects_mismatched_step():
     d = fc.DyckTuple((2, 1, 0), 1)
     with pytest.raises(fc.FormatError):
         fc.from_dyck(d, P32)
+
+
+_UNVALIDATED_FROM_DYCK = """
+import sys
+import fusscat as fc
+d = object.__new__(fc.DyckTuple)  # bypasses the validity checks
+object.__setattr__(d, "entries", (0, 1))
+object.__setattr__(d, "step", 1)
+try:
+    fc.from_dyck(d, fc.Params(2, 1))
+except fc.InternalInvariantError:
+    print("raised", sys.flags.optimize)
+else:
+    print("returned", sys.flags.optimize)
+"""
+
+
+def test_from_dyck_invariant_checks_survive_python_O():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(fc.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    for flags, optimize in (([], 0), (["-O"], 1)):
+        done = subprocess.run([sys.executable, *flags, "-c",
+                               _UNVALIDATED_FROM_DYCK],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["raised", str(optimize)]
 
 
 def test_roundtrip_tree_tuple_tree_small_exhaustive():
