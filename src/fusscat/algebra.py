@@ -15,9 +15,9 @@ from __future__ import annotations
 
 import dataclasses as dc
 
-from .errors import ArityError, FormatError, SizeError
+from .errors import FormatError, SizeError
 from .params import Params
-from .tree import DepthMatrix, Tree
+from .tree import DepthMatrix, Tree, _arity_error
 
 
 @dc.dataclass(frozen=True)
@@ -37,23 +37,21 @@ class ExponentVector:
 
 
 def eval_recursive(t: Tree, params: Params) -> ExponentVector:
-    """Evaluate bottom-up: the child in position i contributes its
-    leaves' exponents shifted by m - i."""
+    """Evaluate top-down: each step into the child in position i shifts
+    the exponent of every leaf below it by m - i."""
     m, modulus = params.m, params.modulus
-
-    def walk(node: Tree) -> list[int]:
+    out: list[int] = []
+    todo = [(t, 0)]  # (node, exponent gathered on its root path), preorder
+    while todo:
+        node, exponent = todo.pop()
         if node.is_leaf:
-            return [0]
+            out.append(exponent)
+            continue
         if len(node.children) != m:
-            raise ArityError("tree contains a node with %d children, expected %d"
-                             % (len(node.children), m))
-        out: list[int] = []
-        for i, child in enumerate(node.children, start=1):
-            shift = (m - i) % modulus
-            out.extend((e + shift) % modulus for e in walk(child))
-        return out
-
-    return ExponentVector(modulus, tuple(walk(t)))
+            raise _arity_error(node, params)
+        for i in range(m, 0, -1):
+            todo.append((node.children[i - 1], (exponent + m - i) % modulus))
+    return ExponentVector(modulus, tuple(out))
 
 
 def eval_by_depth(dm: DepthMatrix, params: Params) -> ExponentVector:

@@ -33,12 +33,20 @@ def _operand(text: str) -> str:
     return text
 
 
+_READ_FORMATS = ("expr", "dyck")
+_WRITE_FORMATS = ("expr", "tuple", "ns")
+
+
+def _read(text: str, fmt: str, params: Params) -> dyck.DyckTuple:
+    if fmt == "expr":
+        return dyck.to_dyck(expr.parse(text, params), params)
+    return dyck.parse_dyck(text, params)
+
+
 def _render(d: dyck.DyckTuple, fmt: str, params: Params) -> str:
     if fmt == "expr":
         return expr.unparse(dyck.from_dyck(d, params))
-    if fmt == "ns":
-        return dyck.print_dyck(d, "ns")
-    return dyck.print_dyck(d, "tuple")
+    return dyck.print_dyck(d, fmt)
 
 
 def _cmd_count(args) -> int:
@@ -54,7 +62,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_equiv(args) -> int:
     params = Params(args.m, args.k)
-    tuples = [dyck.to_dyck(expr.parse(_operand(text), params), params)
+    tuples = [_read(_operand(text), "expr", params)
               for text in (args.left, args.right)]
     same = dyck.equivalent(tuples[0], tuples[1], params)
     record = {
@@ -70,12 +78,8 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_canon(args) -> int:
     params = Params(args.m, args.k)
-    text = _operand(args.input)
-    if args.in_format == "expr":
-        d = dyck.to_dyck(expr.parse(text, params), params)
-    else:
-        d = dyck.parse_dyck(text, params)
-    minimal = dyck.canonicalize(d, params)
+    minimal = dyck.canonicalize(
+        _read(_operand(args.input), args.in_format, params), params)
     record = {
         "canonical": _render(minimal, args.out_format, params),
         "signature": list(dyck.signature(minimal, params)),
@@ -86,17 +90,8 @@ def _cmd_canon(args) -> int:
 
 def _cmd_convert(args) -> int:
     params = Params(args.m, 1)  # conversion is k-independent
-    text = _operand(args.input)
-    if args.from_format == "expr":
-        d = dyck.to_dyck(expr.parse(text, params), params)
-    else:
-        d = dyck.parse_dyck(text, params)
-    if args.to_format == "expr":
-        print(expr.unparse(dyck.from_dyck(d, params)))
-    elif args.to_format == "dyck-ns":
-        print(dyck.print_dyck(d, "ns"))
-    else:
-        print(dyck.print_dyck(d, "tuple"))
+    d = _read(_operand(args.input), args.from_format, params)
+    print(_render(d, args.to_format, params))
     return 0
 
 
@@ -178,19 +173,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("canon", help="canonical form of an expression or path")
     common(p)
-    p.add_argument("--in", dest="in_format", choices=("expr", "dyck"),
+    p.add_argument("--in", dest="in_format", choices=_READ_FORMATS,
                    default="expr")
-    p.add_argument("--out", dest="out_format",
-                   choices=("expr", "tuple", "ns"), default="expr")
+    p.add_argument("--out", dest="out_format", choices=_WRITE_FORMATS,
+                   default="expr")
     p.add_argument("input")
     p.set_defaults(func=_cmd_canon)
 
     p = sub.add_parser("convert", help="convert between representations")
     p.add_argument("--m", type=int, required=True, help="arity (>= 2)")
     p.add_argument("--from", dest="from_format", required=True,
-                   choices=("expr", "dyck-ns", "dyck-tuple"))
+                   choices=_READ_FORMATS)
     p.add_argument("--to", dest="to_format", required=True,
-                   choices=("expr", "dyck-ns", "dyck-tuple"))
+                   choices=_WRITE_FORMATS)
     p.add_argument("input")
     p.set_defaults(func=_cmd_convert)
 

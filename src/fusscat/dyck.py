@@ -8,11 +8,17 @@ the first i entries sum to at least i (the path never dips below the
 axis; the trailing down-run brings it back exactly to the axis).
 
 The encoding sends a node to s up-steps followed by the child paths
-separated by single down-steps.  Under it a right k-rotation becomes a
-two-entry rewrite: one entry drops by K = k(m-1) and a later one grows
-by K.  Hence the residues mod K of d2..d_L classify trees up to
-k-rotations, and each class has exactly one tuple whose entries after
-the first are all < K.
+separated by single down-steps.  Read another way, the tuple is the
+tree's preorder: walking depth-first, left to right, each internal node
+adds s to the current up-run and each leaf but the last ends the run,
+so d_i/s counts the nodes that open after leaf i-1 and before leaf i.
+to_dyck is one loop over that order and from_dyck one loop over it
+backwards, so neither has a depth limit.
+
+Under the encoding a right k-rotation becomes a two-entry rewrite: one
+entry drops by K = k(m-1) and a later one grows by K.  Hence the
+residues mod K of d2..d_L classify trees up to k-rotations, and each
+class has exactly one tuple whose entries after the first are all < K.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from typing import Iterator, Union
 from .errors import (ArityError, FormatError, InternalInvariantError,
                      SizeError)
 from .params import Params
-from .tree import Site, Tree, leaf, rotate_left, rotate_right
+from .tree import Site, Tree, _arity_error, leaf, rotate_left, rotate_right
 
 
 @dc.dataclass(frozen=True)
@@ -74,77 +80,72 @@ def enumerate_tuples(params: Params, length: int) -> Iterator[DyckTuple]:
     if length < 0 or length % s != 0:
         raise ArityError("length %d is not a multiple of the step %d"
                          % (length, s))
-    prefix: list[int] = []
+    return _tuples_from(length, s)
 
-    def extend(sofar: int) -> Iterator[DyckTuple]:
-        i = len(prefix)
-        if i == length:
-            yield DyckTuple(tuple(prefix), s)
+
+def _tuples_from(length: int, s: int) -> Iterator[DyckTuple]:
+    entries: list[int] = []
+    total = 0
+    while True:
+        # Complete the tuple with the smallest entries that keep the path
+        # on or above the axis; the last one closes it.
+        for i in range(len(entries), length):
+            e = max(0, -(-(i + 1 - total) // s) * s)
+            entries.append(e)
+            total += e
+        yield DyckTuple(tuple(entries), s)
+        # Drop the entries that cannot grow by s and still leave the path
+        # closable, then grow the last one left.
+        while entries and total + s > length:
+            total -= entries.pop()
+        if not entries:
             return
-        low = max(0, i + 1 - sofar)
-        low = -(-low // s) * s  # round up to a multiple of the step
-        for d in range(low, length - sofar + 1, s):
-            prefix.append(d)
-            yield from extend(sofar + d)
-            prefix.pop()
-
-    return extend(0)
+        entries[-1] += s
+        total += s
 
 
 def to_dyck(t: Tree, params: Params) -> DyckTuple:
-    """Encode a tree as its path tuple."""
-    s = params.step
-
-    def runs(node: Tree) -> list[int]:
-        if node.is_leaf:
-            return []
-        if len(node.children) != params.m:
-            raise ArityError("tree contains a node with %d children, expected %d"
-                             % (len(node.children), params.m))
-        parts: list[int] = []
-        for child in node.children[:-1]:
-            parts.extend(runs(child))
-            parts.append(0)  # separating down-step
-        parts.extend(runs(node.children[-1]))
-        parts[0] += s  # the node's own up-run
-        return parts
-
-    return DyckTuple(tuple(runs(t)), s)
+    """Encode a tree as its path tuple: walking it in preorder, each
+    internal node adds m-1 to the current up-run and each leaf but the
+    last ends the run with a down-step."""
+    m, s = params.m, params.step
+    entries: list[int] = []
+    run = 0
+    todo = [t]
+    while todo:
+        node = todo.pop()
+        if not node.children:
+            entries.append(run)
+            run = 0
+        elif len(node.children) != m:
+            raise _arity_error(node, params)
+        else:
+            run += s
+            todo.extend(node.children[::-1])
+    entries.pop()  # the last leaf closes no run
+    return DyckTuple(tuple(entries), s)
 
 
 def from_dyck(d: DyckTuple, params: Params) -> Tree:
-    """Rebuild the tree encoded by a valid tuple; inverse of to_dyck."""
+    """Rebuild the tree encoded by a valid tuple; inverse of to_dyck.
+
+    Reads the preorder backwards: each leaf is pushed, and each internal
+    node takes the m subtrees on top of the stack as its children."""
     _check_step(d, params)
-    m = params.m
-    entries = d.entries
-    length = len(entries)
-    pos = 0
-    carry = entries[0] if length else 0
-
-    def subtree() -> Tree:
-        nonlocal pos, carry
-        if carry == 0:
-            return leaf()
-        carry -= m - 1
-        children = []
-        for i in range(m):
-            children.append(subtree())
-            if i < m - 1:
-                down()
-        return Tree(tuple(children))
-
-    def down() -> None:
-        nonlocal pos, carry
-        if carry != 0:
-            raise InternalInvariantError(
-                "up-run not exhausted before a down-step")
-        pos += 1
-        carry = entries[pos] if pos < length else 0
-
-    root = subtree()
-    if pos != length or carry != 0:
+    m, s = params.m, params.step
+    tip = leaf()
+    stack = [tip]  # the last leaf: no node opens between it and the one before
+    for up in reversed(d.entries):
+        stack.append(tip)
+        for _ in range(up // s):  # the nodes that open just before this leaf
+            if len(stack) < m:
+                raise InternalInvariantError("path not fully consumed")
+            children = tuple(stack[:-m - 1:-1])
+            del stack[-m:]
+            stack.append(Tree(children))
+    if len(stack) != 1:
         raise InternalInvariantError("path not fully consumed")
-    return root
+    return stack[0]
 
 
 def depth_to_tuple(dm, params: Params) -> DyckTuple:

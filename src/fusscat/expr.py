@@ -10,6 +10,12 @@ parenthesizes every internal node below the root; the "minimal" style
 additionally inlines a first child whose subtree is a plain chain of
 leaves, which is exactly the paren omission the left-associative
 reading recovers without consulting the rest of the run.
+
+The text lists the leaves in preorder, as the path tuple does: the
+i-th up-run is m-1 times the number of groups, written or implied by
+the left-associative reading, that open after leaf i-1 and before leaf
+i.  Parser and printer are single loops over explicit stacks, so the
+nesting depth is bounded by memory alone.
 """
 
 from __future__ import annotations
@@ -36,68 +42,40 @@ def _tokenize(text: str) -> list[tuple[str, int]]:
 def parse(text: str, params: Params) -> Tree:
     """Parse an expression into its tree; variable names are discarded
     (only the shape matters)."""
-    tokens = _tokenize(text)
-    pos = 0
-
-    def peek() -> str | None:
-        return tokens[pos][0] if pos < len(tokens) else None
-
-    def offset() -> int:
-        return tokens[pos][1] if pos < len(tokens) else len(text)
-
-    def operand() -> Tree:
-        nonlocal pos
-        tok = peek()
-        if tok == "(":
-            start = tokens[pos][1]
-            pos += 1
-            inner = run(start, top=False)
-            if peek() != ")":
+    m = params.m
+    groups: list[tuple[int, list[Tree]]] = []  # the enclosing open groups
+    start, operands = 0, []  # offset and operands of the run being read
+    need = True  # an operand must come next
+    for tok, at in _tokenize(text) + [(None, len(text))]:
+        if tok == "*" and not need:
+            need = True
+        elif tok == "(":
+            groups.append((start, operands))
+            start, operands = at, []
+            need = True
+        elif tok not in (None, "*", ")"):
+            operands.append(leaf())
+            need = False
+        elif need:
+            raise ParseError("expected an operand", at)
+        else:  # the run ends
+            p = len(operands)
+            if groups and p == 1:
+                raise ArityError(
+                    "parenthesized group needs at least two operands", start)
+            if p > 1 and (p < m or (p - 1) % (m - 1) != 0):
+                raise ArityError(
+                    "run of %d operands cannot fold at arity %d" % (p, m),
+                    start)
+            tree = left_assoc_meet(operands, params)
+            if not groups:
+                if tok is not None:
+                    raise ParseError("unexpected %r" % tok, at)
+                return tree
+            if tok is None:
                 raise ParseError("unbalanced '('", start)
-            pos += 1
-            return inner
-        if tok is None or tok in ("*", ")"):
-            raise ParseError("expected an operand", offset())
-        pos += 1
-        return leaf()
-
-    def run(start: int, top: bool) -> Tree:
-        nonlocal pos
-        operands = [operand()]
-        while True:
-            tok = peek()
-            if tok == "*":
-                pos += 1
-                operands.append(operand())
-            elif tok is not None and tok != ")":
-                operands.append(operand())
-            else:
-                break
-        p = len(operands)
-        if not top and p == 1:
-            raise ArityError("parenthesized group needs at least two operands",
-                             start)
-        if p > 1 and (p < params.m or (p - 1) % (params.m - 1) != 0):
-            raise ArityError(
-                "run of %d operands cannot fold at arity %d" % (p, params.m),
-                start)
-        return left_assoc_meet(operands, params)
-
-    tree = run(0, top=True)
-    if pos < len(tokens):
-        tok, at = tokens[pos]
-        raise ParseError("unexpected %r" % tok, at)
-    return tree
-
-
-def _is_leaf_chain(t: Tree) -> bool:
-    """True when flattening every first-child link of t yields only
-    leaves (so its text needs no parentheses at all)."""
-    while not t.is_leaf:
-        if any(not c.is_leaf for c in t.children[1:]):
-            return False
-        t = t.children[0]
-    return True
+            start, operands = groups.pop()
+            operands.append(tree)
 
 
 def unparse(t: Tree, style: str = "minimal") -> str:
@@ -107,19 +85,38 @@ def unparse(t: Tree, style: str = "minimal") -> str:
     injective on trees of a fixed leaf count."""
     if style not in ("minimal", "full"):
         raise ValueError("style must be 'minimal' or 'full', got %r" % (style,))
-    counter = iter(range(1, t.leaf_count + 1))
-
-    def chain(node: Tree) -> str:
-        parts = []
-        for i, child in enumerate(node.children):
-            if child.is_leaf:
-                parts.append("x%d" % next(counter))
-            elif i == 0 and style == "minimal" and _is_leaf_chain(child):
-                parts.append(chain(child))
-            else:
-                parts.append("(" + chain(child) + ")")
-        return "*".join(parts)
-
-    if t.is_leaf:
-        return "x1"
-    return chain(t)
+    out: list[str] = []
+    names = 0
+    todo: list = [t]  # what is still to write, the next piece last
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        # Write the first-child chain s0 = item, s1, .. down to its leaf:
+        # "(" for each wrapped si (i >= 1), the leaf, then from the bottom
+        # up the other children of each si followed by si's ")".  The
+        # minimal style wraps si only when si, or a node below it on the
+        # chain, has an inner node among its other children.
+        spine = []
+        while not item.is_leaf:
+            spine.append(item)
+            item = item.children[0]
+        rest: list = []
+        opens = 0
+        wrap = style == "full"
+        for i in range(len(spine) - 1, -1, -1):
+            for child in spine[i].children[1:]:
+                rest.append("*")
+                if child.is_leaf:
+                    rest.append(child)
+                else:
+                    rest += ("(", child, ")")
+                    wrap = True
+            if wrap and i:
+                rest.append(")")
+                opens += 1
+        names += 1
+        out.append("(" * opens + "x%d" % names)
+        todo.extend(reversed(rest))
+    return "".join(out)

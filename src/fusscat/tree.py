@@ -52,21 +52,33 @@ class Tree:
             return True
         if not isinstance(other, Tree):
             return NotImplemented
-        return (self._hash == other._hash
-                and self.leaf_count == other.leaf_count
-                and self.children == other.children)
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a._hash != b._hash or len(a.children) != len(b.children):
+                return False
+            for x, y in zip(a.children, b.children):
+                if x is not y:
+                    pairs.append((x, y))
+        return True
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
-        return "Tree[%s]" % _shape(self)
-
-
-def _shape(t: Tree) -> str:
-    if t.is_leaf:
-        return "."
-    return "(" + "".join(_shape(c) for c in t.children) + ")"
+        out = []
+        todo: list = [self]
+        while todo:
+            node = todo.pop()
+            if isinstance(node, str):
+                out.append(node)
+            elif node.is_leaf:
+                out.append(".")
+            else:
+                out.append("(")
+                todo.append(")")
+                todo.extend(reversed(node.children))
+        return "Tree[%s]" % "".join(out)
 
 
 _LEAF = Tree()
@@ -107,32 +119,13 @@ def left_assoc_meet(operands, params: Params) -> Tree:
     return acc
 
 
-def _node_at(t: Tree, address: Address) -> Tree:
-    node = t
-    for index in address:
-        if node.is_leaf or not 1 <= index <= len(node.children):
-            raise SiteError("address %r does not resolve" % (address,))
-        node = node.children[index - 1]
-    return node
-
-
-def _replace_at(t: Tree, address: Address, replacement: Tree) -> Tree:
-    if not address:
-        return replacement
-    index = address[0]
-    if t.is_leaf or not 1 <= index <= len(t.children):
-        raise SiteError("address %r does not resolve" % (address,))
-    child = _replace_at(t.children[index - 1], address[1:], replacement)
-    return Tree(t.children[:index - 1] + (child,) + t.children[index:])
-
-
-def _spine_length(t: Tree) -> int:
-    """Number of internal nodes on the maximal first-child chain."""
-    n = 0
-    while not t.is_leaf:
-        n += 1
+def _has_chain(t: Tree, k: int) -> bool:
+    """Whether t heads a first-child chain of at least k internal nodes."""
+    for _ in range(k):
+        if not t.children:
+            return False
         t = t.children[0]
-    return n
+    return True
 
 
 def _flatten_spine(t: Tree, levels: int) -> list[Tree]:
@@ -150,16 +143,9 @@ def _flatten_spine(t: Tree, levels: int) -> list[Tree]:
     return operands
 
 
-def _check_arity(t: Tree, params: Params) -> None:
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if node.is_leaf:
-            continue
-        if len(node.children) != params.m:
-            raise ArityError("tree contains a node with %d children, expected %d"
-                             % (len(node.children), params.m))
-        stack.extend(node.children)
+def _arity_error(node: Tree, params: Params) -> ArityError:
+    return ArityError("tree contains a node with %d children, expected %d"
+                      % (len(node.children), params.m))
 
 
 def rotation_sites(t: Tree, params: Params, direction: str = "right") -> list[Site]:
@@ -171,28 +157,40 @@ def rotation_sites(t: Tree, params: Params, direction: str = "right") -> list[Si
     """
     if direction not in ("right", "left"):
         raise ValueError("direction must be 'right' or 'left', got %r" % (direction,))
-    _check_arity(t, params)
     m, k = params.m, params.k
     shift = 0 if direction == "right" else 1
     sites: list[Site] = []
-
-    def walk(node: Tree, address: Address) -> None:
-        if node.is_leaf:
-            return
+    path: list[int] = []  # address of the node being visited
+    # (internal node, length of its parent's address, its last step)
+    todo = [] if t.is_leaf else [(t, 0, ())]
+    while todo:
+        node, depth, step = todo.pop()
+        path[depth:] = step
+        children = node.children
+        if len(children) != m:
+            raise _arity_error(node, params)
+        address = None
         for j in range(1, m):
-            if _spine_length(node.children[j - 1 + shift]) >= k:
+            if _has_chain(children[j - 1 + shift], k):
+                if address is None:
+                    address = tuple(path)
                 sites.append((address, j))
-        for i, child in enumerate(node.children, start=1):
-            walk(child, address + (i,))
-
-    walk(t, ())
+        for i in range(m, 0, -1):
+            if children[i - 1].children:
+                todo.append((children[i - 1], len(path), (i,)))
     return sites
 
 
 def _rotate(t: Tree, address: Address, position: int, params: Params,
             direction: str) -> Tree:
     m, k = params.m, params.k
-    node = _node_at(t, address)
+    ancestors = []
+    node = t
+    for index in address:
+        if node.is_leaf or not 1 <= index <= len(node.children):
+            raise SiteError("address %r does not resolve" % (address,))
+        ancestors.append(node)
+        node = node.children[index - 1]
     if node.is_leaf or len(node.children) != m:
         raise SiteError("no %d-ary node at address %r" % (m, address))
     if not 1 <= position <= m - 1:
@@ -202,14 +200,14 @@ def _rotate(t: Tree, address: Address, position: int, params: Params,
     cj = node.children[position - 1]
     cnext = node.children[position]
     if direction == "right":
-        if _spine_length(cj) < k:
+        if not _has_chain(cj, k):
             raise SiteError("child %d at %r has no chain of %d internal nodes"
                             % (position, address, k))
         ops = _flatten_spine(cj, k)
         new_j = ops[0]
         new_next = left_assoc_meet(ops[1:] + [cnext], params)
     else:
-        if _spine_length(cnext) < k:
+        if not _has_chain(cnext, k):
             raise SiteError("child %d at %r has no chain of %d internal nodes"
                             % (position + 1, address, k))
         ops = _flatten_spine(cnext, k)
@@ -217,7 +215,10 @@ def _rotate(t: Tree, address: Address, position: int, params: Params,
         new_next = ops[width]
     rebuilt = Tree(node.children[:position - 1] + (new_j, new_next)
                    + node.children[position + 1:])
-    return _replace_at(t, address, rebuilt)
+    for parent, index in zip(reversed(ancestors), reversed(address)):
+        rebuilt = Tree(parent.children[:index - 1] + (rebuilt,)
+                       + parent.children[index:])
+    return rebuilt
 
 
 def rotate_right(t: Tree, address: Address, position: int, params: Params) -> Tree:
@@ -260,22 +261,20 @@ class DepthMatrix:
 
 def depth_matrix(t: Tree, params: Params) -> DepthMatrix:
     """Compute the m x N matrix of per-label edge depths of t."""
-    _check_arity(t, params)
     m = params.m
-    counts = [0] * m
     columns: list[tuple[int, ...]] = []
-
-    def walk(node: Tree) -> None:
+    todo = [(t, (0,) * m)]  # (node, label counts on its root path), preorder
+    while todo:
+        node, counts = todo.pop()
         if node.is_leaf:
-            columns.append(tuple(counts))
-            return
-        for i, child in enumerate(node.children):
-            counts[i] += 1
-            walk(child)
-            counts[i] -= 1
-
-    walk(t)
-    return DepthMatrix(tuple(tuple(col[i] for col in columns) for i in range(m)))
+            columns.append(counts)
+            continue
+        if len(node.children) != m:
+            raise _arity_error(node, params)
+        for i in range(m - 1, -1, -1):
+            todo.append((node.children[i],
+                         counts[:i] + (counts[i] + 1,) + counts[i + 1:]))
+    return DepthMatrix(tuple(zip(*columns)))
 
 
 def enumerate_trees(params: Params, leaves: int):

@@ -109,12 +109,13 @@ def test_equiv_malformed_input(run):
     assert "offset" in err
 
 
-def test_equiv_crash_is_an_internal_error_not_a_verdict(run):
+def test_equiv_of_a_1000_operand_flat_product(run):
     flat = "*".join("x%d" % i for i in range(1, 1001))
     code, out, err = run("equiv", "--m", "2", "--k", "2", flat, flat)
-    assert code == 3
-    assert out == ""
-    assert err.startswith("error: internal: ")
+    assert (code, err) == (0, "")
+    record = json.loads(out)
+    assert record["equivalent"] is True
+    assert record["canonical"] == flat
 
 
 # --------------------------------------------------------------------- canon
@@ -162,33 +163,46 @@ def test_canon_has_no_dyck_output_alias(run):
 
 def test_convert_expr_to_tuple(run):
     code, out, _ = run("convert", "--m", "3", "--from", "expr",
-                       "--to", "dyck-tuple", "x1*x2*(x3*x4*x5)")
+                       "--to", "tuple", "x1*x2*(x3*x4*x5)")
     assert (code, out) == (0, "(2,0,2,0)\n")
 
 
 def test_convert_roundtrips(run):
     source = "x1*(x2*x3*x4)*x5"
-    _, ns, _ = run("convert", "--m", "3", "--from", "expr", "--to", "dyck-ns",
+    _, ns, _ = run("convert", "--m", "3", "--from", "expr", "--to", "ns",
                    source)
-    _, back, _ = run("convert", "--m", "3", "--from", "dyck-ns", "--to",
+    _, back, _ = run("convert", "--m", "3", "--from", "dyck", "--to",
                      "expr", ns.strip())
     assert back == source + "\n"
-    _, tup, _ = run("convert", "--m", "3", "--from", "dyck-ns",
-                    "--to", "dyck-tuple", ns.strip())
+    _, tup, _ = run("convert", "--m", "3", "--from", "dyck",
+                    "--to", "tuple", ns.strip())
     assert tup == "(2,2,0,0)\n"
+    _, again, _ = run("convert", "--m", "3", "--from", "dyck",
+                      "--to", "ns", tup.strip())
+    assert again == ns
 
 
 def test_convert_rejects_malformed_input(run):
     for argv in (("convert", "--m", "3", "--from", "expr",
-                  "--to", "dyck-tuple", "x1*(x2)"),
-                 ("convert", "--m", "3", "--from", "dyck-ns",
+                  "--to", "tuple", "x1*(x2)"),
+                 ("convert", "--m", "3", "--from", "dyck",
                   "--to", "expr", "NNSX"),
-                 ("convert", "--m", "3", "--from", "dyck-tuple",
+                 ("convert", "--m", "3", "--from", "dyck",
                   "--to", "expr", "(1,0)")):
         code, out, err = run(*argv)
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+
+def test_convert_has_no_dyck_prefixed_words(run):
+    for argv in (("--from", "dyck-ns", "--to", "expr"),
+                 ("--from", "dyck-tuple", "--to", "expr"),
+                 ("--from", "expr", "--to", "dyck-ns"),
+                 ("--from", "expr", "--to", "dyck-tuple")):
+        code, out, err = run("convert", "--m", "3", *argv, "x1*x2*x3")
+        assert (code, out) == (2, "")
+        assert "invalid choice" in err
 
 
 # --------------------------------------------------------------------- table

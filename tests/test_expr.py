@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given
 
@@ -123,3 +125,31 @@ def test_roundtrip_random_trees(pt):
     params, t = pt
     assert fc.parse(fc.unparse(t, "minimal"), params) == t
     assert fc.parse(fc.unparse(t, "full"), params) == t
+
+
+# SHA-256 over the text of every tree with at most 9 leaves, one per line
+# in enumeration order: any change to the printed bytes shows here.
+_TEXT_DIGESTS = {
+    (2, "minimal"):
+        "3ad546d76c44ccdf2e2cbd547f0d47594724a980b5cc7c2c06587064e2acd27c",
+    (2, "full"):
+        "5a208c8c0c5d1b6394ce65c632d89208f8b1f01437836ca37de3ed6e854714ff",
+    (3, "minimal"):
+        "2521bbddf1ff4e5588959a9e69f455de4709076fde678b4c6d5933fad9128558",
+    (3, "full"):
+        "0dbd9f39a73d4d8a1df4c7fcd8a6023ffb4488a8f95cbb8cf5d59f12cb768eaa",
+    (4, "minimal"):
+        "30f638038a708f65b2b202470beb32285a2e421c7f19705d89da4d646baef75a",
+    (4, "full"):
+        "ab18bfe5af0af97e05886d1f164d37b91e84e981404d7e0c634aaa2e64faa9f1",
+}
+
+
+@pytest.mark.parametrize("m,style", sorted(_TEXT_DIGESTS))
+def test_unparse_text_is_frozen(m, style):
+    params = fc.Params(m, 1)
+    digest = hashlib.sha256()
+    for leaves in valid_leaf_counts(params, 9):
+        for t in fc.enumerate_trees(params, leaves):
+            digest.update(fc.unparse(t, style).encode() + b"\n")
+    assert digest.hexdigest() == _TEXT_DIGESTS[m, style]
