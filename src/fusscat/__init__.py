@@ -6,38 +6,46 @@ unchanged.  This package models parenthesizations as full m-ary trees,
 rewrites them by k-rotations, encodes them as Dyck-path tuples where
 the rewrite becomes a two-entry shift by K = k(m-1), and counts the
 resulting equivalence classes exactly.
-"""
 
-from .algebra import (ExponentVector, equivalent_by_eval, eval_by_depth,
-                      eval_recursive)
-from .counting import (ClassReport, PrefixedWord, count_minimal_brute,
-                       cyclic_shift, enumerate_classes,
-                       enumerate_prefixed_words, fuss_catalan,
-                       modular_fuss_catalan)
-from .dyck import (DyckTuple, canonicalize, compress, depth_to_tuple,
-                   enumerate_tuples, equivalent, from_dyck, is_minimal,
-                   parse_dyck, print_dyck, signature, to_dyck)
-from .errors import (ArityError, BudgetError, DomainError, FormatError,
-                     FusscatError, InternalInvariantError, ParseError,
-                     SiteError, SizeError)
-from .expr import parse, unparse
-from .params import Params
-from .tree import (DepthMatrix, Tree, depth_matrix, enumerate_trees, leaf,
-                   left_assoc_meet, meet, rotate_left, rotate_right,
-                   rotation_sites)
+Importing the package loads none of its modules: each public name is
+imported from its module on first use.
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "ArityError", "BudgetError", "ClassReport", "DepthMatrix", "DomainError",
-    "DyckTuple", "ExponentVector", "FormatError", "FusscatError",
-    "InternalInvariantError", "Params", "ParseError", "PrefixedWord",
-    "SiteError", "SizeError", "Tree", "canonicalize", "compress",
-    "count_minimal_brute", "cyclic_shift", "depth_matrix", "depth_to_tuple",
-    "enumerate_classes", "enumerate_prefixed_words", "enumerate_trees",
-    "enumerate_tuples", "equivalent", "equivalent_by_eval", "eval_by_depth",
-    "eval_recursive", "from_dyck", "fuss_catalan", "is_minimal", "leaf",
-    "left_assoc_meet", "meet", "modular_fuss_catalan", "parse", "parse_dyck",
-    "print_dyck", "rotate_left", "rotate_right", "rotation_sites",
-    "signature", "to_dyck", "unparse",
-]
+_HOMES = {name: module for module, names in (
+    ("algebra", ("ExponentVector", "equivalent_by_eval", "eval_by_depth",
+                 "eval_recursive")),
+    ("counting", ("ClassReport", "PrefixedWord", "count_minimal_brute",
+                  "cyclic_shift", "enumerate_classes",
+                  "enumerate_prefixed_words", "fuss_catalan",
+                  "modular_fuss_catalan")),
+    ("dyck", ("DyckTuple", "canonicalize", "compress", "depth_to_tuple",
+              "enumerate_tuples", "equivalent", "from_dyck", "is_minimal",
+              "parse_dyck", "print_dyck", "signature", "to_dyck")),
+    ("errors", ("ArityError", "BudgetError", "DomainError", "FormatError",
+                "FusscatError", "InternalInvariantError", "ParseError",
+                "SiteError", "SizeError")),
+    ("expr", ("parse", "unparse")),
+    ("params", ("Params",)),
+    ("tree", ("DepthMatrix", "Tree", "depth_matrix", "enumerate_trees", "leaf",
+              "left_assoc_meet", "meet", "rotate_left", "rotate_right",
+              "rotation_sites")),
+) for name in names}
+
+__all__ = sorted(_HOMES)
+
+
+def __getattr__(name):
+    from importlib import import_module
+
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError("module %r has no attribute %r" % (__name__, name))
+    value = getattr(import_module("." + home, __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

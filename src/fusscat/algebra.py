@@ -13,27 +13,25 @@ never given a numeric value.
 
 from __future__ import annotations
 
-import dataclasses as dc
-
 from .errors import FormatError, SizeError
-from .params import Params
+from .params import Params, _Record
 from .tree import DepthMatrix, Tree, _arity_error
 
 
-@dc.dataclass(frozen=True)
-class ExponentVector:
+class ExponentVector(_Record):
     """Per-leaf exponents of w, each reduced mod the modulus."""
 
-    modulus: int
-    entries: tuple[int, ...]
+    __slots__ = ("modulus", "entries")
 
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise FormatError("modulus must be positive, got %r" % (self.modulus,))
-        if any(not isinstance(e, int) or not 0 <= e < self.modulus
-               for e in self.entries):
+    def __init__(self, modulus: int, entries: tuple[int, ...]):
+        object.__setattr__(self, "modulus", modulus)
+        object.__setattr__(self, "entries", entries)
+        if modulus < 1:
+            raise FormatError("modulus must be positive, got %r" % (modulus,))
+        if any(not isinstance(e, int) or not 0 <= e < modulus
+               for e in entries):
             raise FormatError("entries must be residues in [0, %d)"
-                              % self.modulus)
+                              % modulus)
 
 
 def eval_recursive(t: Tree, params: Params) -> ExponentVector:

@@ -6,17 +6,23 @@ negative verdict (not equivalent, or a count mismatch), 2 for usage or
 data errors, 3 for an internal error (a crash, never a verdict).
 Output is deterministic; counts are printed as decimal strings.  An
 expression argument of "-" reads one line from stdin.
+
+Each command imports the layers (and json) it uses when it runs, so a
+process loads only what its command needs.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from typing import TYPE_CHECKING
 
-from . import counting, dyck, expr
-from .errors import FusscatError
+from . import __version__
+from .errors import BudgetError, FusscatError
 from .params import Params
+
+if TYPE_CHECKING:
+    from .dyck import DyckTuple
 
 
 def _int_range(text: str) -> range:
@@ -37,19 +43,25 @@ _READ_FORMATS = ("expr", "dyck")
 _WRITE_FORMATS = ("expr", "tuple", "ns")
 
 
-def _read(text: str, fmt: str, params: Params) -> dyck.DyckTuple:
+def _read(text: str, fmt: str, params: Params) -> DyckTuple:
+    from . import dyck, expr
+
     if fmt == "expr":
         return dyck.to_dyck(expr.parse(text, params), params)
     return dyck.parse_dyck(text, params)
 
 
-def _render(d: dyck.DyckTuple, fmt: str, params: Params) -> str:
+def _render(d: DyckTuple, fmt: str, params: Params) -> str:
+    from . import dyck, expr
+
     if fmt == "expr":
         return expr.unparse(dyck.from_dyck(d, params))
     return dyck.print_dyck(d, fmt)
 
 
 def _cmd_count(args) -> int:
+    from . import counting
+
     params = Params(args.m, args.k)
     length = args.length if args.length is not None else args.leaves - 1
     if args.brute:
@@ -61,6 +73,10 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
+    import json
+
+    from . import dyck
+
     params = Params(args.m, args.k)
     tuples = [_read(_operand(text), "expr", params)
               for text in (args.left, args.right)]
@@ -77,6 +93,10 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_canon(args) -> int:
+    import json
+
+    from . import dyck
+
     params = Params(args.m, args.k)
     minimal = dyck.canonicalize(
         _read(_operand(args.input), args.in_format, params), params)
@@ -96,6 +116,8 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_table(args) -> int:
+    from . import counting
+
     rows = []
     for m in args.m_range:
         for k in args.k_range:
@@ -110,6 +132,8 @@ def _cmd_table(args) -> int:
         for m, k, length, count in rows:
             print("%d,%d,%d,%d" % (m, k, length, count))
     else:
+        import json
+
         for m, k, length, count in rows:
             print(json.dumps({"m": m, "k": k, "length": length,
                               "count": str(count)}))
@@ -117,6 +141,8 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import counting
+
     mismatches = 0
     cells = 0
     for m in args.m_range:
@@ -132,7 +158,7 @@ def _cmd_verify(args) -> int:
                 if args.classes:
                     try:
                         reports = counting.enumerate_classes(params, length + 1)
-                    except counting.BudgetError:
+                    except BudgetError:
                         line += " classes=skipped"
                     else:
                         line += " classes=%d" % len(reports)
@@ -149,6 +175,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="fusscat",
         description="Canonical forms and exact counting for k-associative "
                     "m-ary operations.")
+    parser.add_argument("--version", action="version",
+                        version="fusscat %s" % __version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p):

@@ -22,19 +22,22 @@ exist so the formula is never the only route to a number.
 
 from __future__ import annotations
 
-import dataclasses as dc
 import os
 from math import comb
-from typing import Iterator, Optional
+from typing import TYPE_CHECKING, Iterator, Optional
 
-from .dyck import (DyckTuple, canonicalize, enumerate_tuples, from_dyck,
-                   is_minimal, signature)
 from .errors import (ArityError, BudgetError, DomainError, FormatError,
                      InternalInvariantError)
-from .params import Params
-from .tree import Address, Tree, rotate_left, rotate_right, rotation_sites
+from .params import Params, _Record
 
-RotationStep = tuple[str, Address, int]  # (direction, address, position)
+# The functions that walk trees or tuples import the tree and tuple
+# layers when they run, so the formula alone loads neither; here they
+# are imported for type checkers only.
+if TYPE_CHECKING:
+    from .dyck import DyckTuple
+    from .tree import Tree
+
+RotationStep = tuple[str, tuple[int, ...], int]  # (direction, address, position)
 
 DEFAULT_BUDGET = 1_000_000
 BUDGET_ENV_VAR = "FUSSCAT_BUDGET"
@@ -91,6 +94,8 @@ def modular_fuss_catalan(params: Params, length: int) -> int:
 def count_minimal_brute(params: Params, length: int) -> int:
     """Count the minimal tuples directly, one class each: enumerate all
     valid tuples and keep those whose tail entries are < K."""
+    from .dyck import enumerate_tuples, is_minimal
+
     if length < 0 or length % params.step != 0:
         raise ArityError("length must be a non-negative multiple of %d, got %d"
                          % (params.step, length))
@@ -98,39 +103,50 @@ def count_minimal_brute(params: Params, length: int) -> int:
                if is_minimal(d, params))
 
 
-@dc.dataclass(frozen=True)
-class ClassReport:
+class ClassReport(_Record):
     """One k-equivalence class: its minimal tuple, the member trees in
     enumeration order, and (optionally) a rotation sequence taking each
     member to the tree of the minimal tuple."""
 
-    representative: DyckTuple
-    size: int
-    members: tuple[Tree, ...]
-    traces: Optional[tuple[tuple[RotationStep, ...], ...]] = None
+    __slots__ = ("representative", "size", "members", "traces")
+
+    def __init__(self, representative: DyckTuple, size: int,
+                 members: tuple[Tree, ...],
+                 traces: Optional[tuple[tuple[RotationStep, ...], ...]] = None):
+        object.__setattr__(self, "representative", representative)
+        object.__setattr__(self, "size", size)
+        object.__setattr__(self, "members", members)
+        object.__setattr__(self, "traces", traces)
 
 
-def _closure_parents(seed: Tree, params: Params):
-    """Breadth-first closure of {seed} under both rotation directions;
-    maps each reached tree to (previous tree, step that produced it)."""
-    parents: dict[Tree, Optional[tuple[Tree, RotationStep]]] = {seed: None}
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for t in frontier:
-            for direction, rotate in (("right", rotate_right),
-                                      ("left", rotate_left)):
-                for address, position in rotation_sites(t, params, direction):
-                    u = rotate(t, address, position, params)
-                    if u not in parents:
-                        parents[u] = (t, (direction, address, position))
-                        nxt.append(u)
-        frontier = nxt
-    return parents
+def _closure_parents(seeds: list[Tree], params: Params):
+    """For each seed, the breadth-first closure of {seed} under both
+    rotation directions; maps each reached tree to (previous tree, step
+    that produced it).  Taking every seed in one call keeps the import
+    below out of the per-class loop."""
+    from .tree import rotate_left, rotate_right, rotation_sites
+
+    closures = []
+    for seed in seeds:
+        parents: dict[Tree, Optional[tuple[Tree, RotationStep]]] = {seed: None}
+        frontier = [seed]
+        while frontier:
+            nxt = []
+            for t in frontier:
+                for direction, rotate in (("right", rotate_right),
+                                          ("left", rotate_left)):
+                    for address, position in rotation_sites(t, params,
+                                                            direction):
+                        u = rotate(t, address, position, params)
+                        if u not in parents:
+                            parents[u] = (t, (direction, address, position))
+                            nxt.append(u)
+            frontier = nxt
+        closures.append(parents)
+    return closures
 
 
-def _traces_to_seed(members, seed: Tree, params: Params):
-    parents = _closure_parents(seed, params)
+def _traces_to_seed(members, parents):
     if set(parents) != set(members):
         raise InternalInvariantError(
             "rotation closure of the representative disagrees with the "
@@ -157,6 +173,8 @@ def enumerate_classes(params: Params, leaves: int, with_traces: bool = False,
     Refuses to start when the tree count exceeds the budget (argument,
     else the FUSSCAT_BUDGET environment variable, else one million).
     """
+    from .dyck import canonicalize, enumerate_tuples, from_dyck, signature
+
     if leaves < 1 or (leaves - 1) % params.step != 0:
         raise ArityError("no %d-ary tree has %d leaves" % (params.m, leaves))
     limit = _resolve_budget(budget)
@@ -171,23 +189,28 @@ def enumerate_classes(params: Params, leaves: int, with_traces: bool = False,
             groups[key] = (canonicalize(d, params), [])
         groups[key][1].append(from_dyck(d, params))
 
-    reports = []
-    for rep, members in groups.values():
-        traces = None
-        if with_traces:
-            traces = _traces_to_seed(members, from_dyck(rep, params), params)
-        reports.append(ClassReport(rep, len(members), tuple(members), traces))
+    classes = list(groups.values())
+    closures = [None] * len(classes)
+    if with_traces:
+        closures = _closure_parents(
+            [from_dyck(rep, params) for rep, _ in classes], params)
+    reports = [ClassReport(rep, len(members), tuple(members),
+                           None if parents is None
+                           else _traces_to_seed(members, parents))
+               for (rep, members), parents in zip(classes, closures)]
     reports.sort(key=lambda r: r.representative.entries)
     return reports
 
 
-@dc.dataclass(frozen=True)
-class PrefixedWord:
+class PrefixedWord(_Record):
     """A word of one leading up-run and trailing down-steps: reading is
     N^first S N^tail[0] S N^tail[1] .. S N^tail[-1]."""
 
-    first: int
-    tail: tuple[int, ...]
+    __slots__ = ("first", "tail")
+
+    def __init__(self, first: int, tail: tuple[int, ...]):
+        object.__setattr__(self, "first", first)
+        object.__setattr__(self, "tail", tail)
 
     def is_dyck_path(self) -> bool:
         """Whether the word, read as a lattice path, stays on or above
@@ -203,6 +226,8 @@ class PrefixedWord:
     def to_dyck_tuple(self, params: Params) -> DyckTuple:
         """The word as a path tuple; only Dyck words convert (the last
         tail run must be empty)."""
+        from .dyck import DyckTuple
+
         if not self.tail or self.tail[-1] != 0:
             raise FormatError("word ends with unmatched up-steps")
         return DyckTuple((self.first, *self.tail[:-1]), params.step)
@@ -229,18 +254,30 @@ def enumerate_prefixed_words(params: Params, length: int,
     if not s <= first_run <= length or first_run % s != 0:
         raise ArityError("leading run must be a multiple of %d in [%d, %d], "
                          "got %d" % (s, s, length, first_run))
-    tail: list[int] = []
+    return _prefixed_words(first_run, length, s, top)
 
-    def extend(remaining: int) -> Iterator[PrefixedWord]:
-        slots = length - len(tail)
-        if slots == 0:
-            if remaining == 0:
-                yield PrefixedWord(first_run, tuple(tail))
+
+def _prefixed_words(first_run: int, length: int, s: int,
+                    top: int) -> Iterator[PrefixedWord]:
+    tail = [0] * length
+    rest = length - first_run  # still to place in tail[start:]
+    start = 0
+    while True:
+        # The least tail[start:] summing to rest: packed to the right.
+        for i in range(length - 1, start - 1, -1):
+            tail[i] = min(top, rest)
+            rest -= tail[i]
+        if rest:
+            return  # the tails cannot hold the whole word
+        yield PrefixedWord(first_run, tuple(tail))
+        # The successor grows the rightmost entry that can take s from
+        # the entries after it.
+        start = length - 1
+        while start >= 0 and (tail[start] == top or rest < s):
+            rest += tail[start]
+            start -= 1
+        if start < 0:
             return
-        for value in range(0, min(top, remaining) + 1, s):
-            if remaining - value <= (slots - 1) * top:
-                tail.append(value)
-                yield from extend(remaining - value)
-                tail.pop()
-
-    return extend(length - first_run)
+        tail[start] += s
+        rest -= s
+        start += 1

@@ -23,35 +23,34 @@ class has exactly one tuple whose entries after the first are all < K.
 
 from __future__ import annotations
 
-import dataclasses as dc
 from typing import Iterator, Union
 
 from .errors import (ArityError, FormatError, InternalInvariantError,
                      SizeError)
-from .params import Params
+from .params import Params, _Record
 from .tree import Site, Tree, _arity_error, leaf, rotate_left, rotate_right
 
 
-@dc.dataclass(frozen=True)
-class DyckTuple:
+class DyckTuple(_Record):
     """A valid path tuple; step is the up-run granularity m-1."""
 
-    entries: tuple[int, ...]
-    step: int
+    __slots__ = ("entries", "step")
 
-    def __post_init__(self):
-        if not (isinstance(self.step, int) and self.step >= 1):
+    def __init__(self, entries: tuple[int, ...], step: int):
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "step", step)
+        if not (isinstance(step, int) and step >= 1):
             raise FormatError("step must be a positive integer, got %r"
-                              % (self.step,))
-        length = len(self.entries)
+                              % (step,))
+        length = len(entries)
         partial = 0
-        for i, e in enumerate(self.entries, start=1):
+        for i, e in enumerate(entries, start=1):
             if not isinstance(e, int) or e < 0:
                 raise FormatError("entry %d is %r, need a non-negative integer"
                                   % (i, e))
-            if e % self.step != 0:
+            if e % step != 0:
                 raise FormatError("entry %d is %d, not a multiple of %d"
-                                  % (i, e, self.step))
+                                  % (i, e, step))
             partial += e
             if partial < i:
                 raise FormatError("path dips below the axis after %d down-steps"

@@ -8,21 +8,52 @@ arithmetic happens mod k(m-1).
 
 from __future__ import annotations
 
-import dataclasses as dc
-
 from .errors import DomainError
 
 
-@dc.dataclass(frozen=True)
-class Params:
-    m: int
-    k: int
+class _Record:
+    """Immutable value with the fields named in `__slots__`, in order.
+    It compares and hashes as the tuple of its fields, never equals an
+    instance of another class, and prints as Name(field=value, ...).
+    A subclass sets its fields in `__init__` with object.__setattr__."""
 
-    def __post_init__(self):
-        if not (isinstance(self.m, int) and self.m >= 2):
-            raise DomainError("arity m must be an integer >= 2, got %r" % (self.m,))
-        if not (isinstance(self.k, int) and self.k >= 1):
-            raise DomainError("degree k must be an integer >= 1, got %r" % (self.k,))
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return "%s(%s)" % (self.__class__.__qualname__, ", ".join(
+            "%s=%r" % (name, getattr(self, name)) for name in self.__slots__))
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
+
+class Params(_Record):
+    __slots__ = ("m", "k")
+
+    def __init__(self, m: int, k: int):
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "k", k)
+        if not (isinstance(m, int) and m >= 2):
+            raise DomainError("arity m must be an integer >= 2, got %r" % (m,))
+        if not (isinstance(k, int) and k >= 1):
+            raise DomainError("degree k must be an integer >= 1, got %r" % (k,))
 
     @property
     def step(self) -> int:

@@ -20,10 +20,8 @@ k-rotation is the exact inverse, keyed on child position j+1.
 
 from __future__ import annotations
 
-import dataclasses as dc
-
 from .errors import ArityError, FormatError, SiteError
-from .params import Params
+from .params import Params, _Record
 
 Address = tuple[int, ...]  # child indices from the root, 1-based
 Site = tuple[Address, int]  # (address of node, child position j)
@@ -232,18 +230,18 @@ def rotate_left(t: Tree, address: Address, position: int, params: Params) -> Tre
     return _rotate(t, address, position, params, "left")
 
 
-@dc.dataclass(frozen=True)
-class DepthMatrix:
+class DepthMatrix(_Record):
     """Edge-label counts per leaf: rows[i][j] is how many times the path
     from the root to leaf j+1 descends into child i+1."""
 
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("rows",)
 
-    def __post_init__(self):
-        if not self.rows:
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "rows", rows)
+        if not rows:
             raise FormatError("depth matrix needs at least one row")
-        width = len(self.rows[0])
-        for row in self.rows:
+        width = len(rows[0])
+        for row in rows:
             if len(row) != width or any(not isinstance(e, int) or e < 0 for e in row):
                 raise FormatError("depth matrix rows must be equal-length "
                                   "tuples of non-negative integers")

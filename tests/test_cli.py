@@ -286,6 +286,11 @@ def test_verify_reports_mismatches(run, monkeypatch):
 
 # ------------------------------------------------------------------- general
 
+def test_version(run):
+    assert run("--version") == (0, "fusscat %s\n" % fusscat.__version__, "")
+    assert fusscat.__version__ == "0.1.0"
+
+
 def test_missing_subcommand_is_a_usage_error(run):
     code, _, err = run()
     assert code == 2

@@ -185,3 +185,11 @@ def test_first_tuple_of_length_5000(budget):
         (1,) * 5000
     assert next(fc.enumerate_tuples(fc.Params(3, 1), 5000)).entries == \
         (2, 0) * 2500
+
+
+def test_first_prefixed_word_of_length_5000(budget):
+    word = next(fc.enumerate_prefixed_words(fc.Params(2, 1), 5000, 5000))
+    assert word == fc.PrefixedWord(5000, (0,) * 5000)
+    words = fc.enumerate_prefixed_words(fc.Params(3, 2), 5000, 2)
+    assert next(words).tail == (0,) * 2501 + (2,) * 2499
+    assert next(words).tail == (0,) * 2500 + (2, 0) + (2,) * 2498
