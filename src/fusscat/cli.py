@@ -123,7 +123,7 @@ def _cmd_table(args) -> int:
         for k in args.k_range:
             params = Params(m, k)
             for length in args.length_range:
-                if length < 1 or length % (m - 1) != 0:
+                if not params.fits(length):
                     continue
                 rows.append((m, k, length,
                              counting.modular_fuss_catalan(params, length)))

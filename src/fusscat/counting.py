@@ -1,6 +1,7 @@
 """Exact counting of k-equivalence classes, with brute-force cross-checks.
 
-The number of classes of parenthesizations with L = N-1 down-steps is
+The number of classes of parenthesizations with L = N-1 >= 1
+down-steps is
 
     sum over runs l in {m-1, 2(m-1), .., L} of  (l / L) * S_l
 
@@ -15,6 +16,7 @@ inclusion-exclusion on the parts that reach k
 
 The l/L factor is the cycle-counting fraction, and each l * S_l is
 exactly divisible by L.
+At L = 0 (a single operand) the count is 1.
 
 Everything here is exact integer arithmetic; the brute-force routines
 exist so the formula is never the only route to a number.
@@ -58,10 +60,7 @@ def _resolve_budget(budget: Optional[int]) -> int:
 
 def fuss_catalan(m: int, leaves: int) -> int:
     """Number of m-ary trees with the given leaf count."""
-    if not (isinstance(m, int) and m >= 2):
-        raise DomainError("arity m must be an integer >= 2, got %r" % (m,))
-    if leaves < 1 or (leaves - 1) % (m - 1) != 0:
-        raise ArityError("no %d-ary tree has %d leaves" % (m, leaves))
+    Params(m, 1).check_length(leaves - 1)
     n = (leaves - 1) // (m - 1)  # internal nodes
     q, r = divmod(comb(m * n, n), (m - 1) * n + 1)
     if r:
@@ -72,10 +71,10 @@ def fuss_catalan(m: int, leaves: int) -> int:
 
 def modular_fuss_catalan(params: Params, length: int) -> int:
     """Number of k-equivalence classes of tuples of the given length."""
+    params.check_length(length)
+    if length == 0:
+        return 1  # the bare operand
     s, k = params.step, params.k
-    if length < 1 or length % s != 0:
-        raise ArityError("length must be a positive multiple of %d, got %d"
-                         % (s, length))
     total = 0
     for run in range(s, length + 1, s):
         weight = (length - run) // s
@@ -96,9 +95,7 @@ def count_minimal_brute(params: Params, length: int) -> int:
     valid tuples and keep those whose tail entries are < K."""
     from .dyck import enumerate_tuples, is_minimal
 
-    if length < 0 or length % params.step != 0:
-        raise ArityError("length must be a non-negative multiple of %d, got %d"
-                         % (params.step, length))
+    params.check_length(length)
     return sum(1 for d in enumerate_tuples(params, length)
                if is_minimal(d, params))
 
@@ -175,8 +172,7 @@ def enumerate_classes(params: Params, leaves: int, with_traces: bool = False,
     """
     from .dyck import canonicalize, enumerate_tuples, from_dyck, signature
 
-    if leaves < 1 or (leaves - 1) % params.step != 0:
-        raise ArityError("no %d-ary tree has %d leaves" % (params.m, leaves))
+    params.check_length(leaves - 1)
     limit = _resolve_budget(budget)
     total = fuss_catalan(params.m, leaves)
     if total > limit:
@@ -247,10 +243,8 @@ def enumerate_prefixed_words(params: Params, length: int,
     """All words with the given leading run, `length` down-steps, and
     tail runs that are multiples of m-1 below K, in ascending
     lexicographic order of tail."""
+    params.check_length(length)
     s, top = params.step, params.modulus - params.step
-    if length < 1 or length % s != 0:
-        raise ArityError("length must be a positive multiple of %d, got %d"
-                         % (s, length))
     if not s <= first_run <= length or first_run % s != 0:
         raise ArityError("leading run must be a multiple of %d in [%d, %d], "
                          "got %d" % (s, s, length, first_run))

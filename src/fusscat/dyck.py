@@ -25,8 +25,7 @@ from __future__ import annotations
 
 from typing import Iterator, Union
 
-from .errors import (ArityError, FormatError, InternalInvariantError,
-                     SizeError)
+from .errors import FormatError, InternalInvariantError, SizeError
 from .params import Params, _Record
 from .tree import Site, Tree, _arity_error, leaf, rotate_left, rotate_right
 
@@ -75,11 +74,8 @@ def _check_step(d: DyckTuple, params: Params) -> None:
 def enumerate_tuples(params: Params, length: int) -> Iterator[DyckTuple]:
     """Yield every valid tuple of the given length in ascending
     lexicographic order."""
-    s = params.step
-    if length < 0 or length % s != 0:
-        raise ArityError("length %d is not a multiple of the step %d"
-                         % (length, s))
-    return _tuples_from(length, s)
+    params.check_length(length)
+    return _tuples_from(length, params.step)
 
 
 def _tuples_from(length: int, s: int) -> Iterator[DyckTuple]:

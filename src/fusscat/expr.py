@@ -26,16 +26,18 @@ from .errors import ArityError, ParseError
 from .params import Params
 from .tree import Tree, leaf, left_assoc_meet
 
-_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[*()]|\S")
+# A name is a word character other than a decimal digit, then word
+# characters (Unicode included); any other visible character is an error.
+_TOKEN = re.compile(r"[^\W\d]\w*|[*()]|(\S)")
 
 
 def _tokenize(text: str) -> list[tuple[str, int]]:
     tokens = []
     for match in _TOKEN.finditer(text):
-        piece = match.group()
-        if piece not in ("*", "(", ")") and not piece[0].isalpha() and piece[0] != "_":
-            raise ParseError("unexpected character %r" % piece, match.start())
-        tokens.append((piece, match.start()))
+        if match.group(1):
+            raise ParseError("unexpected character %r" % match.group(1),
+                             match.start())
+        tokens.append((match.group(), match.start()))
     return tokens
 
 
@@ -63,7 +65,7 @@ def parse(text: str, params: Params) -> Tree:
             if groups and p == 1:
                 raise ArityError(
                     "parenthesized group needs at least two operands", start)
-            if p > 1 and (p < m or (p - 1) % (m - 1) != 0):
+            if not params.fits(p - 1):
                 raise ArityError(
                     "run of %d operands cannot fold at arity %d" % (p, m),
                     start)

@@ -8,7 +8,7 @@ arithmetic happens mod k(m-1).
 
 from __future__ import annotations
 
-from .errors import DomainError
+from .errors import ArityError, DomainError
 
 
 class _Record:
@@ -65,3 +65,14 @@ class Params(_Record):
         """Window shift K = k(m-1); entries of minimal tuples and all
         exponent arithmetic are reduced mod this value."""
         return self.k * (self.m - 1)
+
+    def fits(self, length: int) -> bool:
+        """The size rule: some m-ary tree has length + 1 leaves iff
+        length >= 0 and m-1 divides it (length 0 is the bare operand)."""
+        return length >= 0 and length % (self.m - 1) == 0
+
+    def check_length(self, length: int) -> None:
+        """Raise ArityError unless some m-ary tree has length + 1 leaves."""
+        if not self.fits(length):
+            raise ArityError("no %d-ary tree has %d leaves (length %d)"
+                             % (self.m, length + 1, length))

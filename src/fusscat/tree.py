@@ -34,16 +34,28 @@ class Tree:
     leaf() / meet() so the arity invariant is enforced.
     """
 
-    __slots__ = ("children", "leaf_count", "_hash")
+    __slots__ = ("children", "_hash")
 
     def __init__(self, children: tuple["Tree", ...] = ()):
         self.children = children
-        self.leaf_count = sum(c.leaf_count for c in children) if children else 1
         self._hash = hash(children)
 
     @property
     def is_leaf(self) -> bool:
         return not self.children
+
+    @property
+    def leaf_count(self) -> int:
+        """Number of leaves, counted by one walk over the tree."""
+        count = 0
+        todo = [self]
+        while todo:
+            children = todo.pop().children
+            if children:
+                todo.extend(children)
+            else:
+                count += 1
+        return count
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -99,21 +111,21 @@ def meet(children, params: Params) -> Tree:
 def left_assoc_meet(operands, params: Params) -> Tree:
     """Fold a run of operands by the left-associative convention.
 
-    A run of P > 1 operands is valid when P >= m and P == 1 (mod m-1):
-    the first m operands form a node, then every further m-1 wrap it.
+    A run of P operands folds when some m-ary tree has P leaves: the
+    first m operands form a node, then every further m-1 wrap it.
     """
-    operands = list(operands)
+    operands = tuple(operands)
     m = params.m
     p = len(operands)
-    if p == 1:
-        return operands[0]
-    if p < m or (p - 1) % (m - 1) != 0:
+    if not params.fits(p - 1):
         raise ArityError(
             "a run of %d operands cannot fold at arity %d "
             "(need 1 or m + g(m-1) operands)" % (p, m))
-    acc = meet(operands[:m], params)
+    if p == 1:
+        return operands[0]
+    acc = Tree(operands[:m])
     for start in range(m, p, m - 1):
-        acc = meet([acc] + operands[start:start + m - 1], params)
+        acc = Tree((acc,) + operands[start:start + m - 1])
     return acc
 
 
@@ -280,7 +292,6 @@ def enumerate_trees(params: Params, leaves: int):
     Dyck tuple of its path encoding (lexicographic, ascending)."""
     from .dyck import enumerate_tuples, from_dyck
 
-    if leaves < 1 or (leaves - 1) % (params.m - 1) != 0:
-        raise ArityError("no %d-ary tree has %d leaves" % (params.m, leaves))
+    params.check_length(leaves - 1)
     for d in enumerate_tuples(params, leaves - 1):
         yield from_dyck(d, params)

@@ -58,6 +58,13 @@ def test_count_requires_exactly_one_size_flag(run):
     assert code == 2
 
 
+@pytest.mark.parametrize("size", [("--leaves", "1"), ("--length", "0")])
+@pytest.mark.parametrize("brute", [(), ("--brute",)])
+def test_count_of_one_operand_is_one(run, size, brute):
+    code, out, err = run("count", "--m", "3", "--k", "2", *size, *brute)
+    assert (code, out, err) == (0, "1\n", "")
+
+
 def test_count_rejects_bad_length(run):
     code, out, err = run("count", "--m", "3", "--k", "2", "--length", "5")
     assert code == 2
@@ -226,6 +233,13 @@ def test_table_skips_lengths_with_no_trees(run):
     code, out, _ = run("table", "--m-range", "3", "--k-range", "1",
                        "--length-range", "1")
     assert (code, out) == (0, "m,k,length,count\n")
+
+
+def test_table_has_a_row_at_length_0(run):
+    code, out, _ = run("table", "--m-range", "2..3", "--k-range", "2",
+                       "--length-range", "0..2")
+    assert (code, out) == (0, "m,k,length,count\n2,2,0,1\n2,2,1,1\n"
+                              "2,2,2,2\n3,2,0,1\n3,2,2,1\n")
 
 
 def test_table_matches_library_and_is_deterministic(run):

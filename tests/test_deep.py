@@ -180,6 +180,13 @@ def test_rotation_sites_on_deep_combs(budget):
         ((9,) * depth, 8) for depth in range(nodes - 1)]
 
 
+def test_leaf_count_of_a_1e5_leaf_comb(budget):
+    for params in (fc.Params(2, 1), fc.Params(3, 1)):
+        leaves = 1 + (OPERANDS - 1) // params.step * params.step
+        assert comb(params, leaves).leaf_count == leaves
+        assert _right_comb(params, leaves).leaf_count == leaves
+
+
 def test_first_tuple_of_length_5000(budget):
     assert next(fc.enumerate_tuples(fc.Params(2, 1), 5000)).entries == \
         (1,) * 5000

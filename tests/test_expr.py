@@ -46,6 +46,18 @@ def test_parse_top_level_run_uses_left_associativity():
         "(x1*(x2*x3*x4)*x5)*x6*x7", P32)
 
 
+@pytest.mark.parametrize("text,operands", [
+    ("aé", 1),
+    ("αβ", 1),
+    ("x1é", 1),
+    ("_é9", 1),
+    ("α*β", 2),
+    ("αβ γ", 2),
+])
+def test_parse_reads_unicode_names_whole(text, operands):
+    assert fc.parse(text, fc.Params(2, 1)).leaf_count == operands
+
+
 @pytest.mark.parametrize("text,offset", [
     ("", 0),
     ("x1*", 3),
@@ -54,6 +66,10 @@ def test_parse_top_level_run_uses_left_associativity():
     ("x1)", 2),
     ("(x1*x2*x3", 0),
     ("x1 ? x2", 3),
+    ("1", 0),
+    ("$", 0),
+    ("x1*1", 3),
+    ("αβ $", 3),
     ("x1*(x2*)*x3", 7),
 ])
 def test_parse_error_offsets(text, offset):

@@ -51,6 +51,17 @@ def test_count_loads_only_the_formula():
                       "fusscat.errors", "fusscat.params"]
 
 
+def test_count_of_one_operand_loads_only_the_formula():
+    printed, loaded = _fresh(
+        "import fusscat.cli\n"
+        "code = fusscat.cli.main(['count', '--m', '3', '--k', '2', "
+        "'--leaves', '1'])\n"
+        "print(code)")
+    assert printed == ["1", "0"]
+    assert loaded == ["fusscat", "fusscat.cli", "fusscat.counting",
+                      "fusscat.errors", "fusscat.params"]
+
+
 def test_version_loads_no_layer():
     printed, loaded = _fresh(
         "import fusscat.cli\n"
