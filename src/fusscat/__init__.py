@@ -21,16 +21,16 @@ _HOMES = {name: module for module, names in (
                   "enumerate_prefixed_words", "fuss_catalan",
                   "modular_fuss_catalan")),
     ("dyck", ("DyckTuple", "canonicalize", "compress", "depth_to_tuple",
-              "enumerate_tuples", "equivalent", "from_dyck", "is_minimal",
-              "parse_dyck", "print_dyck", "signature", "to_dyck")),
+              "enumerate_trees", "enumerate_tuples", "equivalent", "from_dyck",
+              "is_minimal", "parse_dyck", "print_dyck", "signature",
+              "to_dyck")),
     ("errors", ("ArityError", "BudgetError", "DomainError", "FormatError",
                 "FusscatError", "InternalInvariantError", "ParseError",
                 "SiteError", "SizeError")),
     ("expr", ("parse", "unparse")),
     ("params", ("Params",)),
-    ("tree", ("DepthMatrix", "Tree", "depth_matrix", "enumerate_trees", "leaf",
-              "left_assoc_meet", "meet", "rotate_left", "rotate_right",
-              "rotation_sites")),
+    ("tree", ("DepthMatrix", "Tree", "depth_matrix", "leaf", "left_assoc_meet",
+              "meet", "rotate_left", "rotate_right", "rotation_sites")),
 ) for name in names}
 
 __all__ = sorted(_HOMES)

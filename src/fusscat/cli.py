@@ -46,16 +46,14 @@ _WRITE_FORMATS = ("expr", "tuple", "ns")
 def _read(text: str, fmt: str, params: Params) -> DyckTuple:
     from . import dyck, expr
 
-    if fmt == "expr":
-        return dyck.to_dyck(expr.parse(text, params), params)
-    return dyck.parse_dyck(text, params)
+    return (expr._read if fmt == "expr" else dyck.parse_dyck)(text, params)
 
 
 def _render(d: DyckTuple, fmt: str, params: Params) -> str:
     from . import dyck, expr
 
     if fmt == "expr":
-        return expr.unparse(dyck.from_dyck(d, params))
+        return expr._write(d.entries, params.m, "minimal")
     return dyck.print_dyck(d, fmt)
 
 

@@ -143,6 +143,12 @@ def from_dyck(d: DyckTuple, params: Params) -> Tree:
     return stack[0]
 
 
+def enumerate_trees(params: Params, leaves: int) -> Iterator[Tree]:
+    """Every tree with the given number of leaves, in the order of their
+    tuples from enumerate_tuples, which checks the size at the call."""
+    return (from_dyck(d, params) for d in enumerate_tuples(params, leaves - 1))
+
+
 def depth_to_tuple(dm, params: Params) -> DyckTuple:
     """Recover the path tuple straight from a depth matrix.
 

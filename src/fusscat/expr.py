@@ -5,79 +5,118 @@ alone also separates); an operand is a variable name or a parenthesized
 run of at least two operands.  Every run folds by the left-associative
 convention, so its operand count must be 1 or m + g(m-1).
 
+The text lists the leaves in preorder, as the path tuple does, so text
+and tuple convert in one pass each with no tree in between; the command
+line uses these passes alone.  A run of P operands folds into
+(P-1)/(m-1) nodes that all open just before its first leaf, so the
+reader adds P-1 to that leaf's up-run when the run closes.
+
 unparse() names the leaves x1..xN from the left.  The "full" style
 parenthesizes every internal node below the root; the "minimal" style
-additionally inlines a first child whose subtree is a plain chain of
-leaves, which is exactly the paren omission the left-associative
-reading recovers without consulting the rest of the run.
-
-The text lists the leaves in preorder, as the path tuple does: the
-i-th up-run is m-1 times the number of groups, written or implied by
-the left-associative reading, that open after leaf i-1 and before leaf
-i.  Parser and printer are single loops over explicit stacks, so the
-nesting depth is bounded by memory alone.
+also inlines a first child whose subtree is a plain chain of leaves,
+the paren omission the left-associative reading recovers by itself.
 """
 
 from __future__ import annotations
 
 import re
+from typing import TYPE_CHECKING
 
+from .dyck import DyckTuple, from_dyck, to_dyck
 from .errors import ArityError, ParseError
 from .params import Params
-from .tree import Tree, leaf, left_assoc_meet
 
-# A name is a word character other than a decimal digit, then word
-# characters (Unicode included); any other visible character is an error.
-_TOKEN = re.compile(r"[^\W\d]\w*|[*()]|(\S)")
+if TYPE_CHECKING:
+    from .tree import Tree
+
+# A name is a non-digit word character, then word characters (Unicode
+# included).  Any other visible character is an error, reported first.
+# The empty match at \Z (not $, which also matches before a final "\n")
+# ends the last run.
+_TOKEN = re.compile(r"[^\W\d]\w*|[*()]|\Z")
+_BAD = re.compile(r"(?<!\w)\d|[^\w\s*()]")
 
 
-def _tokenize(text: str) -> list[tuple[str, int]]:
-    tokens = []
+def _read(text: str, params: Params) -> DyckTuple:
+    """The path tuple of an expression, read in one scan."""
+    if bad := _BAD.search(text):
+        raise ParseError("unexpected character %r" % bad.group(), bad.start())
+    ups: list[int] = []  # per leaf read: m-1 times the groups opening before it
+    groups: list[tuple[int, int, int]] = []  # the enclosing runs, as below
+    start, count, first = 0, 0, 0  # offset, operands, first leaf of the run
+    need = True  # an operand must come next
     for match in _TOKEN.finditer(text):
-        if match.group(1):
-            raise ParseError("unexpected character %r" % match.group(1),
-                             match.start())
-        tokens.append((match.group(), match.start()))
-    return tokens
+        tok = match.group()
+        if tok == "*" and not need:
+            need = True
+        elif tok == "(":
+            groups.append((start, count, first))
+            start, count, first = match.start(), 0, len(ups)
+            need = True
+        elif tok not in ("", "*", ")"):
+            ups.append(0)
+            count += 1
+            need = False
+        elif need:
+            raise ParseError("expected an operand", match.start())
+        else:  # the run ends
+            if groups and count == 1:
+                raise ArityError(
+                    "parenthesized group needs at least two operands", start)
+            if not params.fits(count - 1):
+                raise ArityError(
+                    "run of %d operands cannot fold at arity %d"
+                    % (count, params.m), start)
+            ups[first] += count - 1
+            if not groups:
+                if tok:
+                    raise ParseError("unexpected %r" % tok, match.start())
+                ups.pop()  # the last leaf closes no run
+                return DyckTuple(tuple(ups), params.step)
+            if not tok:
+                raise ParseError("unbalanced '('", start)
+            start, count, first = groups.pop()
+            count += 1
+
+
+def _write(entries: tuple[int, ...], m: int, style: str) -> str:
+    """The text of a path tuple, in one pass over its leaves: the
+    entries[j]/(m-1) nodes opening before leaf j form a first-child chain
+    whose top is wrapped unless it is the root.  A node below the top is
+    wrapped in the full style, and in the minimal style when the next
+    nonzero entry falls among the operands of it and the chain below it."""
+    s = m - 1
+    n = len(entries)  # the last leaf has no entry
+    out: list[str] = []  # the text of each leaf with its parens
+    stack: list[list] = []  # [children left, wrapped] per open node
+    for j in range(n + 1):
+        c = entries[j] // s if j < n else 0
+        text = "x%d" % (j + 1)
+        if c:
+            below = c - 1  # wrapped nodes below the chain's top
+            if style == "minimal":
+                z = j + 1  # the next nonzero entry, or n
+                while z < n and not entries[z]:
+                    z += 1
+                below = max(0, c + (j - z) // s)  # c - ceil((z-j)/s)
+            stack.append([m, j > 0])
+            for i in range(1, c):
+                stack.append([m, i <= below])
+            text = "(" * (below + (j > 0)) + text
+        while stack:  # the leaf ends a child; close the nodes it completes
+            node = stack[-1]
+            node[0] -= 1
+            if node[0]:
+                break
+            text += ")" * stack.pop()[1]
+        out.append(text)
+    return "*".join(out)
 
 
 def parse(text: str, params: Params) -> Tree:
     """Parse an expression into its tree; variable names are discarded
     (only the shape matters)."""
-    m = params.m
-    groups: list[tuple[int, list[Tree]]] = []  # the enclosing open groups
-    start, operands = 0, []  # offset and operands of the run being read
-    need = True  # an operand must come next
-    for tok, at in _tokenize(text) + [(None, len(text))]:
-        if tok == "*" and not need:
-            need = True
-        elif tok == "(":
-            groups.append((start, operands))
-            start, operands = at, []
-            need = True
-        elif tok not in (None, "*", ")"):
-            operands.append(leaf())
-            need = False
-        elif need:
-            raise ParseError("expected an operand", at)
-        else:  # the run ends
-            p = len(operands)
-            if groups and p == 1:
-                raise ArityError(
-                    "parenthesized group needs at least two operands", start)
-            if not params.fits(p - 1):
-                raise ArityError(
-                    "run of %d operands cannot fold at arity %d" % (p, m),
-                    start)
-            tree = left_assoc_meet(operands, params)
-            if not groups:
-                if tok is not None:
-                    raise ParseError("unexpected %r" % tok, at)
-                return tree
-            if tok is None:
-                raise ParseError("unbalanced '('", start)
-            start, operands = groups.pop()
-            operands.append(tree)
+    return from_dyck(_read(text, params), params)
 
 
 def unparse(t: Tree, style: str = "minimal") -> str:
@@ -87,38 +126,5 @@ def unparse(t: Tree, style: str = "minimal") -> str:
     injective on trees of a fixed leaf count."""
     if style not in ("minimal", "full"):
         raise ValueError("style must be 'minimal' or 'full', got %r" % (style,))
-    out: list[str] = []
-    names = 0
-    todo: list = [t]  # what is still to write, the next piece last
-    while todo:
-        item = todo.pop()
-        if isinstance(item, str):
-            out.append(item)
-            continue
-        # Write the first-child chain s0 = item, s1, .. down to its leaf:
-        # "(" for each wrapped si (i >= 1), the leaf, then from the bottom
-        # up the other children of each si followed by si's ")".  The
-        # minimal style wraps si only when si, or a node below it on the
-        # chain, has an inner node among its other children.
-        spine = []
-        while not item.is_leaf:
-            spine.append(item)
-            item = item.children[0]
-        rest: list = []
-        opens = 0
-        wrap = style == "full"
-        for i in range(len(spine) - 1, -1, -1):
-            for child in spine[i].children[1:]:
-                rest.append("*")
-                if child.is_leaf:
-                    rest.append(child)
-                else:
-                    rest += ("(", child, ")")
-                    wrap = True
-            if wrap and i:
-                rest.append(")")
-                opens += 1
-        names += 1
-        out.append("(" * opens + "x%d" % names)
-        todo.extend(reversed(rest))
-    return "".join(out)
+    m = max(2, len(t.children))
+    return _write(to_dyck(t, Params(m, 1)).entries, m, style)

@@ -285,13 +285,3 @@ def depth_matrix(t: Tree, params: Params) -> DepthMatrix:
             todo.append((node.children[i],
                          counts[:i] + (counts[i] + 1,) + counts[i + 1:]))
     return DepthMatrix(tuple(zip(*columns)))
-
-
-def enumerate_trees(params: Params, leaves: int):
-    """Yield every tree with the given number of leaves, ordered by the
-    Dyck tuple of its path encoding (lexicographic, ascending)."""
-    from .dyck import enumerate_tuples, from_dyck
-
-    params.check_length(leaves - 1)
-    for d in enumerate_tuples(params, leaves - 1):
-        yield from_dyck(d, params)

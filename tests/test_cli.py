@@ -13,6 +13,7 @@ import pytest
 import fusscat.cli as cli
 import fusscat.counting
 import fusscat.dyck
+import fusscat.tree
 
 
 @pytest.fixture
@@ -210,6 +211,24 @@ def test_convert_has_no_dyck_prefixed_words(run):
         code, out, err = run("convert", "--m", "3", *argv, "x1*x2*x3")
         assert (code, out) == (2, "")
         assert "invalid choice" in err
+
+
+def test_text_and_tuple_convert_without_trees(run, monkeypatch):
+    def no_trees(self, children=()):
+        raise AssertionError("a Tree was built")
+
+    monkeypatch.setattr(fusscat.tree.Tree, "__init__", no_trees)
+    code, out, _ = run("equiv", "--m", "3", "--k", "2",
+                       "((x1*x2*x3)*x4*x5)*x6*x7", "x1*x2*((x3*x4*x5)*x6*x7)")
+    assert (code, json.loads(out)["canonical"]) == (0, "x1*x2*x3*x4*x5*x6*x7")
+    for source in (("--in", "expr", "x1*x2*(x3*x4*x5)"),
+                   ("--in", "dyck", "NNSSNNSS")):
+        code, out, _ = run("canon", "--m", "3", "--k", "2", *source,
+                           "--out", "expr")
+        assert (code, json.loads(out)["canonical"]) == (0, "x1*x2*(x3*x4*x5)")
+    code, out, _ = run("convert", "--m", "3", "--from", "expr", "--to", "ns",
+                       "x1*(x2*x3*x4)*x5")
+    assert (code, out) == (0, "NNSNNSSS\n")
 
 
 # --------------------------------------------------------------------- table

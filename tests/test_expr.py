@@ -32,6 +32,8 @@ def test_parse_star_is_optional_with_whitespace():
     assert fc.parse("x1 x2 x3", P32) == expected
     assert fc.parse("a* b *c", P32) == expected
     assert fc.parse("(a b c) d e", P32) == comb(P32, 5)
+    assert fc.parse("x1*x2*x3\n", P32) == expected
+    assert fc.parse("(a b c)\td e\n", P32) == comb(P32, 5)
 
 
 def test_parse_adjacent_groups_need_no_separator():
@@ -71,6 +73,10 @@ def test_parse_reads_unicode_names_whole(text, operands):
     ("x1*1", 3),
     ("αβ $", 3),
     ("x1*(x2*)*x3", 7),
+    ("x1)$", 3),
+    ("x1**$", 4),
+    ("(x1 x2 $", 7),
+    ("x1*x2)1", 6),
 ])
 def test_parse_error_offsets(text, offset):
     with pytest.raises(fc.ParseError) as info:
@@ -115,6 +121,15 @@ def test_unparse_minimal_keeps_parens_that_guard_inner_groups():
 
 def test_unparse_renames_variables_left_to_right():
     assert fc.unparse(fc.parse("q w e", P32)) == "x1*x2*x3"
+
+
+def test_unparse_rejects_malformed_trees():
+    e = fc.leaf()
+    binary = fc.Tree((e, e))
+    with pytest.raises(fc.ArityError):
+        fc.unparse(fc.Tree((e, e, binary)))
+    with pytest.raises(fc.ArityError):
+        fc.unparse(fc.Tree((e,)))
 
 
 def test_unparse_rejects_unknown_style():
