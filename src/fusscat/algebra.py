@@ -24,11 +24,12 @@ class ExponentVector(_Record):
     __slots__ = ("modulus", "entries")
 
     def __init__(self, modulus: int, entries: tuple[int, ...]):
+        entries = tuple(entries)
         object.__setattr__(self, "modulus", modulus)
         object.__setattr__(self, "entries", entries)
         if modulus < 1:
             raise FormatError("modulus must be positive, got %r" % (modulus,))
-        if any(not isinstance(e, int) or not 0 <= e < modulus
+        if any(type(e) is not int or not 0 <= e < modulus
                for e in entries):
             raise FormatError("entries must be residues in [0, %d)"
                               % modulus)
@@ -49,7 +50,7 @@ def eval_recursive(t: Tree, params: Params) -> ExponentVector:
             raise _arity_error(node, params)
         for i in range(m, 0, -1):
             todo.append((node.children[i - 1], (exponent + m - i) % modulus))
-    return ExponentVector(modulus, tuple(out))
+    return ExponentVector(modulus, out)
 
 
 def eval_by_depth(dm: DepthMatrix, params: Params) -> ExponentVector:

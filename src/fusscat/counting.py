@@ -1,21 +1,15 @@
 """Exact counting of k-equivalence classes, with brute-force cross-checks.
 
-The number of classes of parenthesizations with L = N-1 >= 1
-down-steps is
+With L = N-1 >= 1 down-steps and n = L/(m-1) internal nodes, the class
+count is one alternating sum with one exact division:
 
-    sum over runs l in {m-1, 2(m-1), .., L} of  (l / L) * S_l
+    [sum over i in 0..floor(n/k) of (-1)^i (n-ik) C(L,i) C(mn-ik, L)]
+    / (n (L+1))
 
-where S_l is the number of words made of an up-run of l followed by L
-single down-steps each carrying a trailing up-run that is a multiple of
-m-1 smaller than K = k(m-1), the runs summing to L.  Dividing the runs
-by m-1, S_l counts L parts in 0..k-1 with sum w = (L-l)/(m-1), so by
-inclusion-exclusion on the parts that reach k
-
-    S_l = sum over i in 0..floor(w/k) of
-          (-1)^i * C(L, i) * C(L-1+w-ik, L-1).
-
-The l/L factor is the cycle-counting fraction, and each l * S_l is
-exactly divisible by L.
+This is the paper's sum, over the first up-run l, of the cycle fraction
+l/L times the words with that run, in closed form; for k >= n only the
+i = 0 term is left, fuss_catalan(m, L+1).  The words stay the proof
+device: `enumerate_prefixed_words` lists them for criterion 09.
 At L = 0 (a single operand) the count is 1.
 
 Everything here is exact integer arithmetic; the brute-force routines
@@ -74,20 +68,15 @@ def modular_fuss_catalan(params: Params, length: int) -> int:
     params.check_length(length)
     if length == 0:
         return 1  # the bare operand
-    s, k = params.step, params.k
-    total = 0
-    for run in range(s, length + 1, s):
-        weight = (length - run) // s
-        inner = sum((-1) ** i * comb(length, i)
-                    * comb(length - 1 + weight - i * k, length - 1)
-                    for i in range(weight // k + 1))
-        q, r = divmod(run * inner, length)
-        if r:
-            raise InternalInvariantError(
-                "cycle fraction %d * %d / %d is not integral"
-                % (run, inner, length))
-        total += q
-    return total
+    k, n = params.k, length // params.step  # n internal nodes
+    total = sum((-1) ** i * (n - i * k) * comb(length, i)
+                * comb(params.m * n - i * k, length)
+                for i in range(n // k + 1))
+    q, r = divmod(total, n * (length + 1))
+    if r:
+        raise InternalInvariantError("class sum is not divisible by "
+                                     "n(L+1) = %d" % (n * (length + 1)))
+    return q
 
 
 def count_minimal_brute(params: Params, length: int) -> int:

@@ -36,15 +36,16 @@ class DyckTuple(_Record):
     __slots__ = ("entries", "step")
 
     def __init__(self, entries: tuple[int, ...], step: int):
+        entries = tuple(entries)  # the same object when given a tuple
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "step", step)
-        if not (isinstance(step, int) and step >= 1):
+        if not (type(step) is int and step >= 1):
             raise FormatError("step must be a positive integer, got %r"
                               % (step,))
         length = len(entries)
         partial = 0
         for i, e in enumerate(entries, start=1):
-            if not isinstance(e, int) or e < 0:
+            if type(e) is not int or e < 0:
                 raise FormatError("entry %d is %r, need a non-negative integer"
                                   % (i, e))
             if e % step != 0:
@@ -88,7 +89,7 @@ def _tuples_from(length: int, s: int) -> Iterator[DyckTuple]:
             e = max(0, -(-(i + 1 - total) // s) * s)
             entries.append(e)
             total += e
-        yield DyckTuple(tuple(entries), s)
+        yield DyckTuple(entries, s)
         # Drop the entries that cannot grow by s and still leave the path
         # closable, then grow the last one left.
         while entries and total + s > length:
@@ -118,7 +119,7 @@ def to_dyck(t: Tree, params: Params) -> DyckTuple:
             run += s
             todo.extend(node.children[::-1])
     entries.pop()  # the last leaf closes no run
-    return DyckTuple(tuple(entries), s)
+    return DyckTuple(entries, s)
 
 
 def from_dyck(d: DyckTuple, params: Params) -> Tree:
@@ -169,7 +170,7 @@ def depth_to_tuple(dm, params: Params) -> DyckTuple:
     entries = [(m - 1) * dm.rows[0][0]]
     entries.extend(weights[j] - weights[j - 1] + 1 for j in range(1, n - 1))
     try:
-        return DyckTuple(tuple(entries), params.step)
+        return DyckTuple(entries, params.step)
     except FormatError as exc:
         raise FormatError("matrix is not the depth matrix of any tree: %s"
                           % exc) from exc
@@ -196,7 +197,7 @@ def parse_dyck(text: str, params: Params) -> DyckTuple:
                 run = 0
         if run:
             raise FormatError("path ends with %d unmatched up-steps" % run)
-        return DyckTuple(tuple(entries), params.step)
+        return DyckTuple(entries, params.step)
     if stripped.startswith("(") and stripped.endswith(")"):
         stripped = stripped[1:-1]
     try:

@@ -72,7 +72,7 @@ def _read(text: str, params: Params) -> DyckTuple:
                 if tok:
                     raise ParseError("unexpected %r" % tok, match.start())
                 ups.pop()  # the last leaf closes no run
-                return DyckTuple(tuple(ups), params.step)
+                return DyckTuple(ups, params.step)
             if not tok:
                 raise ParseError("unbalanced '('", start)
             start, count, first = groups.pop()

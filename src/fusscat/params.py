@@ -50,9 +50,9 @@ class Params(_Record):
     def __init__(self, m: int, k: int):
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "k", k)
-        if not (isinstance(m, int) and m >= 2):
+        if not (type(m) is int and m >= 2):
             raise DomainError("arity m must be an integer >= 2, got %r" % (m,))
-        if not (isinstance(k, int) and k >= 1):
+        if not (type(k) is int and k >= 1):
             raise DomainError("degree k must be an integer >= 1, got %r" % (k,))
 
     @property

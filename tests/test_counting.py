@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import time
+from contextlib import contextmanager
 
 import pytest
 
@@ -11,6 +13,31 @@ from conftest import GRID_PARAMS, comb, valid_leaf_counts
 
 P32 = fc.Params(3, 2)
 P22 = fc.Params(2, 2)
+
+LARGE_BUDGET_S = 10.0
+
+
+@pytest.fixture(scope="module")
+def large_budget():
+    """One wall-clock budget for the cells at lengths near 1000 and 2000
+    of every test that takes it; a count quadratic in the length misses
+    it."""
+    spent = [0.0]
+
+    @contextmanager
+    def cells():
+        start = time.monotonic()
+        yield
+        spent[0] += time.monotonic() - start
+        assert spent[0] < LARGE_BUDGET_S
+
+    return cells
+
+
+def _large_lengths(step):
+    """Lengths near 1000 and 2000 that step = m-1 divides."""
+    return sorted({length - length % step for length in (1000, 2000, 2001)})
+
 
 # Counts for m=2, k=2 at lengths 1..6, fixed by an enumeration that
 # predates this library: list all lattice paths as run tuples and keep
@@ -143,20 +170,35 @@ def test_formula_agrees_with_ballot_dp_up_to_length_200():
                     == counts[length], (m, k, length)
 
 
+def test_formula_agrees_with_ballot_dp_near_length_1000():
+    # far past brute force: two polynomial routes, one cell each
+    for m, k, length in ((2, 2, 1000), (3, 2, 1000), (2, 5, 1000),
+                         (4, 3, 999)):
+        counts = _ballot_minimal_counts(m, k, length)
+        assert fc.modular_fuss_catalan(fc.Params(m, k), length) \
+            == counts[length], (m, k, length)
+
+
 def test_count_minimal_brute_accepts_the_empty_length():
     assert fc.count_minimal_brute(P32, 0) == 1
     with pytest.raises(fc.ArityError):
         fc.count_minimal_brute(P32, 5)
 
 
-def test_degenerate_k_one_gives_full_associativity():
+def test_degenerate_k_one_gives_full_associativity(large_budget):
     for m in (2, 3, 4):
         params = fc.Params(m, 1)
         for length in range(m - 1, 11, m - 1):
             assert fc.modular_fuss_catalan(params, length) == 1
+    with large_budget():
+        for m in (2, 3, 4):
+            params = fc.Params(m, 1)
+            for length in _large_lengths(m - 1):
+                assert fc.modular_fuss_catalan(params, length) == 1, \
+                    (m, length)
 
 
-def test_saturated_k_counts_every_tree():
+def test_saturated_k_counts_every_tree(large_budget):
     for m in (2, 3):
         for k in (1, 2, 3, 4, 5):
             params = fc.Params(m, k)
@@ -164,6 +206,13 @@ def test_saturated_k_counts_every_tree():
                 if params.modulus >= length:
                     assert fc.modular_fuss_catalan(params, length) \
                         == fc.fuss_catalan(m, length + 1)
+    with large_budget():
+        for m in (2, 3, 4):
+            for length in _large_lengths(m - 1):
+                n = length // (m - 1)  # internal nodes
+                for k in (n, n + 1):
+                    assert fc.modular_fuss_catalan(fc.Params(m, k), length) \
+                        == fc.fuss_catalan(m, length + 1), (m, k, length)
 
 
 def test_counts_are_monotone_in_k_and_bounded():

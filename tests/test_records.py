@@ -67,6 +67,21 @@ def test_equality_and_hash_are_those_of_the_field_tuple(record, fields, text):
     assert len({record, twin}) == 1
 
 
+@pytest.mark.parametrize("build", [
+    lambda entries: fc.DyckTuple(entries, 1),
+    lambda entries: fc.ExponentVector(4, entries),
+], ids=["DyckTuple", "ExponentVector"])
+def test_entries_are_stored_as_a_tuple(build):
+    given = [2, 0, 1, 1]
+    record = build(given)
+    assert record.entries == (2, 0, 1, 1)
+    assert hash(record) == hash(build((2, 0, 1, 1)))
+    given.append(5)  # the caller's list stays the caller's
+    assert record.entries == (2, 0, 1, 1)
+    entries = (2, 0, 1, 1)
+    assert build(entries).entries is entries  # a tuple is not copied
+
+
 def test_different_classes_never_compare_equal():
     # Same field values, different record types.
     word, vector = fc.PrefixedWord(3, (1,)), fc.ExponentVector(3, (1,))
@@ -132,6 +147,17 @@ def test_copy_and_pickle_round_trip(record, fields, text):
     (lambda: fc.ExponentVector(0, ()), fc.FormatError,
      "modulus must be positive, got 0"),
     (lambda: fc.ExponentVector(4, (4,)), fc.FormatError,
+     "entries must be residues in [0, 4)"),
+    # bool is an int subclass, but True is not a count
+    (lambda: fc.Params(2, True), fc.DomainError,
+     "degree k must be an integer >= 1, got True"),
+    (lambda: fc.DyckTuple((1,), True), fc.FormatError,
+     "step must be a positive integer, got True"),
+    (lambda: fc.DyckTuple((True, True), 1), fc.FormatError,
+     "entry 1 is True, need a non-negative integer"),
+    (lambda: fc.DyckTuple((2, False), 1), fc.FormatError,
+     "entry 2 is False, need a non-negative integer"),
+    (lambda: fc.ExponentVector(4, (1, True)), fc.FormatError,
      "entries must be residues in [0, 4)"),
 ])
 def test_validation_errors_are_unchanged(build, error, message):
