@@ -22,15 +22,15 @@ _HOMES = {name: module for module, names in (
                   "modular_fuss_catalan")),
     ("dyck", ("DyckTuple", "canonicalize", "compress", "depth_to_tuple",
               "enumerate_trees", "enumerate_tuples", "equivalent", "from_dyck",
-              "is_minimal", "parse_dyck", "print_dyck", "signature",
-              "to_dyck")),
+              "is_minimal", "parse_dyck", "print_dyck", "rotation_sites",
+              "signature", "to_dyck")),
     ("errors", ("ArityError", "BudgetError", "DomainError", "FormatError",
                 "FusscatError", "InternalInvariantError", "ParseError",
                 "SiteError", "SizeError")),
     ("expr", ("parse", "unparse")),
     ("params", ("Params",)),
     ("tree", ("DepthMatrix", "Tree", "depth_matrix", "leaf", "left_assoc_meet",
-              "meet", "rotate_left", "rotate_right", "rotation_sites")),
+              "meet", "rotate_left", "rotate_right")),
 ) for name in names}
 
 __all__ = sorted(_HOMES)

@@ -30,8 +30,7 @@ from .params import Params, _Record
 # layers when they run, so the formula alone loads neither; here they
 # are imported for type checkers only.
 if TYPE_CHECKING:
-    from .dyck import DyckTuple
-    from .tree import Tree
+    from .dyck import DyckTuple, Tree
 
 RotationStep = tuple[str, tuple[int, ...], int]  # (direction, address, position)
 
@@ -105,48 +104,38 @@ class ClassReport(_Record):
         object.__setattr__(self, "traces", traces)
 
 
-def _closure_parents(seeds: list[Tree], params: Params):
-    """For each seed, the breadth-first closure of {seed} under both
-    rotation directions; maps each reached tree to (previous tree, step
-    that produced it).  Taking every seed in one call keeps the import
-    below out of the per-class loop."""
-    from .tree import rotate_left, rotate_right, rotation_sites
+def _traces(seed: tuple[int, ...], members: list[tuple[int, ...]],
+            params: Params) -> tuple[tuple[RotationStep, ...], ...]:
+    """For each member tuple, a rotation sequence taking it to the seed.
 
-    closures = []
-    for seed in seeds:
-        parents: dict[Tree, Optional[tuple[Tree, RotationStep]]] = {seed: None}
-        frontier = [seed]
-        while frontier:
-            nxt = []
-            for t in frontier:
-                for direction, rotate in (("right", rotate_right),
-                                          ("left", rotate_left)):
-                    for address, position in rotation_sites(t, params,
-                                                            direction):
-                        u = rotate(t, address, position, params)
-                        if u not in parents:
-                            parents[u] = (t, (direction, address, position))
-                            nxt.append(u)
-            frontier = nxt
-        closures.append(parents)
-    return closures
+    A breadth-first closure of {seed} under both directions records the
+    step back along the move that first reaches each tuple; a move
+    rewrites two entries by K.  The closure must be exactly the members."""
+    from .dyck import _moves
 
-
-def _traces_to_seed(members, parents):
-    if set(parents) != set(members):
+    modulus = params.modulus
+    parents: dict[tuple[int, ...], Optional[tuple]] = {seed: None}
+    reached = [seed]
+    for d in reached:  # the list grows while it is read: breadth-first
+        for direction, back, shift in (("right", "left", modulus),
+                                       ("left", "right", -modulus)):
+            for address, position, lo, hi in _moves(d, params, direction):
+                u = (d[:lo] + (d[lo] - shift,) + d[lo + 1:hi]
+                     + (d[hi] + shift,) + d[hi + 1:])
+                if u not in parents:
+                    parents[u] = (d, (back, address, position))
+                    reached.append(u)
+    if parents.keys() != set(members):
         raise InternalInvariantError(
             "rotation closure of the representative disagrees with the "
             "signature class (%d reached, %d expected)"
             % (len(parents), len(members)))
-    inverse = {"right": "left", "left": "right"}
     traces = []
-    for t in members:
+    for d in members:
         steps = []
-        node = t
-        while parents[node] is not None:
-            prev, (direction, address, position) = parents[node]
-            steps.append((inverse[direction], address, position))
-            node = prev
+        while parents[d] is not None:
+            d, step = parents[d]
+            steps.append(step)
         traces.append(tuple(steps))
     return tuple(traces)
 
@@ -167,22 +156,18 @@ def enumerate_classes(params: Params, leaves: int, with_traces: bool = False,
     if total > limit:
         raise BudgetError("%d trees exceed the budget of %d" % (total, limit))
 
-    groups: dict[tuple[int, ...], tuple[DyckTuple, list[Tree]]] = {}
+    groups: dict[tuple[int, ...], tuple[DyckTuple, list[DyckTuple]]] = {}
     for d in enumerate_tuples(params, leaves - 1):
         key = signature(d, params)
         if key not in groups:
             groups[key] = (canonicalize(d, params), [])
-        groups[key][1].append(from_dyck(d, params))
+        groups[key][1].append(d)
 
-    classes = list(groups.values())
-    closures = [None] * len(classes)
-    if with_traces:
-        closures = _closure_parents(
-            [from_dyck(rep, params) for rep, _ in classes], params)
-    reports = [ClassReport(rep, len(members), tuple(members),
-                           None if parents is None
-                           else _traces_to_seed(members, parents))
-               for (rep, members), parents in zip(classes, closures)]
+    reports = [ClassReport(
+        rep, len(members), tuple(from_dyck(d, params) for d in members),
+        _traces(rep.entries, [d.entries for d in members], params)
+        if with_traces else None)
+        for rep, members in groups.values()]
     reports.sort(key=lambda r: r.representative.entries)
     return reports
 
@@ -194,8 +179,13 @@ class PrefixedWord(_Record):
     __slots__ = ("first", "tail")
 
     def __init__(self, first: int, tail: tuple[int, ...]):
+        tail = tuple(tail)
         object.__setattr__(self, "first", first)
         object.__setattr__(self, "tail", tail)
+        for run in (first, *tail):
+            if type(run) is not int or run < 0:
+                raise FormatError("word run %r is not a non-negative integer"
+                                  % (run,))
 
     def is_dyck_path(self) -> bool:
         """Whether the word, read as a lattice path, stays on or above

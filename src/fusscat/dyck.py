@@ -217,6 +217,57 @@ def print_dyck(d: DyckTuple, fmt: str = "tuple") -> str:
     raise ValueError("fmt must be 'tuple' or 'ns', got %r" % (fmt,))
 
 
+def _moves(entries: tuple[int, ...], params: Params, direction: str) -> list:
+    """Every k-rotation of the tree with these path entries, in the
+    order of rotation_sites, as (address, position, lo, hi): the right
+    move takes K from entries[lo] and adds it to entries[hi], the left
+    move the reverse.
+
+    One pass over the leaves keeps the open nodes on a stack.  Where
+    leaf j begins child c >= 2 of the top node v, the left move at
+    (v, c-1) applies if entries[j] >= K, as child c then heads a chain
+    of k nodes; for c = 2, the right move at (u, p) applies if v is the
+    k-th node of the first-child chain that child p < m of u heads.
+    The last leaf begins neither, so the pass stops before it."""
+    if direction not in ("right", "left"):
+        raise ValueError("direction must be 'right' or 'left', got %r"
+                         % (direction,))
+    m, k, s = params.m, params.k, params.step
+    chain = [1] * (k - 1)  # child 1 read on each node from u's child to v
+    child: list[int] = []  # per open node: the child being read, from 1
+    start: list[int] = []  # per open node: the leaf where that child began
+    found = []
+    for j, e in enumerate(entries):
+        if j:
+            while child[-1] == m:
+                child.pop()
+                start.pop()
+            c = child[-1] = child[-1] + 1
+            if direction == "left":
+                if e >= params.modulus:
+                    found.append((tuple(child[:-1]), c - 1, start[-1], j))
+            elif (c == 2 and len(child) > k and child[-k - 1] < m
+                  and child[-k:-1] == chain):
+                u = len(child) - k - 1  # v's ancestor k levels up
+                found.append((tuple(child[:u]), child[u], start[-1], j))
+            start[-1] = j
+        for _ in range(e // s):
+            child.append(1)
+            start.append(j)
+    found.sort()  # the pass meets a node's left moves after its children's
+    return found
+
+
+def rotation_sites(t: Tree, params: Params, direction: str = "right") -> list[Site]:
+    """All (address, j) pairs where a k-rotation in the given direction
+    applies, ordered by address (lexicographic) then j.
+
+    Right rotation needs child j to head a first-child chain of at least
+    k internal nodes; left rotation needs the same of child j+1."""
+    return [(address, position) for address, position, _, _
+            in _moves(to_dyck(t, params).entries, params, direction)]
+
+
 def compress(d: DyckTuple, site: Site, params: Params,
              direction: str = "right") -> DyckTuple:
     """Image of a k-rotation under the path encoding.

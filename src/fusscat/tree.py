@@ -158,39 +158,6 @@ def _arity_error(node: Tree, params: Params) -> ArityError:
                       % (len(node.children), params.m))
 
 
-def rotation_sites(t: Tree, params: Params, direction: str = "right") -> list[Site]:
-    """All (address, j) pairs where a k-rotation in the given direction
-    applies, ordered by address (lexicographic) then j.
-
-    Right rotation needs child j to head a first-child chain of at least
-    k internal nodes; left rotation needs the same of child j+1.
-    """
-    if direction not in ("right", "left"):
-        raise ValueError("direction must be 'right' or 'left', got %r" % (direction,))
-    m, k = params.m, params.k
-    shift = 0 if direction == "right" else 1
-    sites: list[Site] = []
-    path: list[int] = []  # address of the node being visited
-    # (internal node, length of its parent's address, its last step)
-    todo = [] if t.is_leaf else [(t, 0, ())]
-    while todo:
-        node, depth, step = todo.pop()
-        path[depth:] = step
-        children = node.children
-        if len(children) != m:
-            raise _arity_error(node, params)
-        address = None
-        for j in range(1, m):
-            if _has_chain(children[j - 1 + shift], k):
-                if address is None:
-                    address = tuple(path)
-                sites.append((address, j))
-        for i in range(m, 0, -1):
-            if children[i - 1].children:
-                todo.append((children[i - 1], len(path), (i,)))
-    return sites
-
-
 def _rotate(t: Tree, address: Address, position: int, params: Params,
             direction: str) -> Tree:
     m, k = params.m, params.k
@@ -249,12 +216,13 @@ class DepthMatrix(_Record):
     __slots__ = ("rows",)
 
     def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        rows = tuple(map(tuple, rows))
         object.__setattr__(self, "rows", rows)
         if not rows:
             raise FormatError("depth matrix needs at least one row")
         width = len(rows[0])
         for row in rows:
-            if len(row) != width or any(not isinstance(e, int) or e < 0 for e in row):
+            if len(row) != width or any(type(e) is not int or e < 0 for e in row):
                 raise FormatError("depth matrix rows must be equal-length "
                                   "tuples of non-negative integers")
         if width < 1:

@@ -279,6 +279,27 @@ def test_enumerate_classes_traces_lead_to_the_representative():
                     assert trace == ()
 
 
+def test_traced_classes_make_no_tree_rotation(monkeypatch):
+    # The closure edits tuples; a call into the tree rotation would fail.
+    import fusscat.dyck
+    import fusscat.tree
+
+    def refuse(*args):
+        raise AssertionError("enumerate_classes rotated a tree")
+
+    for module in (fc, fusscat.tree, fusscat.dyck):
+        monkeypatch.setattr(module, "rotate_right", refuse)
+        monkeypatch.setattr(module, "rotate_left", refuse)
+    reports = fc.enumerate_classes(P32, 7, with_traces=True)
+    singles = [(2, 0, 2, 0, 2, 0), (2, 0, 2, 2, 0, 0), (2, 2, 0, 0, 2, 0),
+               (2, 2, 0, 2, 0, 0), (2, 2, 2, 0, 0, 0), (4, 0, 0, 0, 2, 0),
+               (4, 0, 0, 2, 0, 0), (4, 0, 2, 0, 0, 0), (4, 2, 0, 0, 0, 0)]
+    assert [(r.representative.entries, r.traces) for r in reports] == [
+        (entries, ((),)) for entries in singles] + [
+        ((6, 0, 0, 0, 0, 0), ((("left", (), 2), ("left", (), 1)),
+                              (("left", (), 1),), ()))]
+
+
 def test_enumerate_classes_budget():
     with pytest.raises(fc.BudgetError):
         fc.enumerate_classes(P32, 7, budget=5)

@@ -233,6 +233,54 @@ def test_compress_changes_exactly_two_entries_by_the_modulus():
                     assert d2.entries < d.entries  # strict lexicographic drop
 
 
+def _internal_addresses(t):
+    todo = [(t, ())]
+    while todo:
+        node, address = todo.pop()
+        if node.children:
+            yield address
+            todo.extend((child, address + (i,))
+                        for i, child in enumerate(node.children, start=1))
+
+
+def test_rotation_sites_are_the_sites_rotate_accepts():
+    for params in GRID_PARAMS:
+        for leaves in valid_leaf_counts(params, 10):
+            for t in fc.enumerate_trees(params, leaves):
+                for direction, rotate in (("right", fc.rotate_right),
+                                          ("left", fc.rotate_left)):
+                    accepted = []
+                    for address in _internal_addresses(t):
+                        for j in range(1, params.m):
+                            try:
+                                rotate(t, address, j, params)
+                            except fc.SiteError:
+                                continue
+                            accepted.append((address, j))
+                    assert fc.rotation_sites(t, params, direction) \
+                        == sorted(accepted)
+
+
+def test_each_move_is_the_two_entry_edit_of_its_rotation():
+    from fusscat.dyck import _moves
+
+    for params in GRID_PARAMS:
+        for length in range(0, 10, params.step):
+            for d in fc.enumerate_tuples(params, length):
+                t = fc.from_dyck(d, params)
+                for direction, rotate, shift in (
+                        ("right", fc.rotate_right, params.modulus),
+                        ("left", fc.rotate_left, -params.modulus)):
+                    for address, j, lo, hi in _moves(d.entries, params,
+                                                     direction):
+                        edited = list(d.entries)
+                        edited[lo] -= shift
+                        edited[hi] += shift
+                        turned = rotate(t, address, j, params)
+                        assert tuple(edited) == \
+                            fc.to_dyck(turned, params).entries
+
+
 # ------------------------------------------------- minimality and signatures
 
 def test_is_minimal_examples():

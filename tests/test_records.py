@@ -67,19 +67,21 @@ def test_equality_and_hash_are_those_of_the_field_tuple(record, fields, text):
     assert len({record, twin}) == 1
 
 
-@pytest.mark.parametrize("build", [
-    lambda entries: fc.DyckTuple(entries, 1),
-    lambda entries: fc.ExponentVector(4, entries),
-], ids=["DyckTuple", "ExponentVector"])
-def test_entries_are_stored_as_a_tuple(build):
+@pytest.mark.parametrize("build, read", [
+    (lambda entries: fc.DyckTuple(entries, 1), lambda r: r.entries),
+    (lambda entries: fc.ExponentVector(4, entries), lambda r: r.entries),
+    (lambda entries: fc.DepthMatrix([entries, [0] * 4]), lambda r: r.rows[0]),
+    (lambda entries: fc.PrefixedWord(2, entries), lambda r: r.tail),
+], ids=["DyckTuple", "ExponentVector", "DepthMatrix", "PrefixedWord"])
+def test_entries_are_stored_as_a_tuple(build, read):
     given = [2, 0, 1, 1]
     record = build(given)
-    assert record.entries == (2, 0, 1, 1)
+    assert read(record) == (2, 0, 1, 1)
     assert hash(record) == hash(build((2, 0, 1, 1)))
     given.append(5)  # the caller's list stays the caller's
-    assert record.entries == (2, 0, 1, 1)
+    assert read(record) == (2, 0, 1, 1)
     entries = (2, 0, 1, 1)
-    assert build(entries).entries is entries  # a tuple is not copied
+    assert read(build(entries)) is entries  # a tuple is not copied
 
 
 def test_different_classes_never_compare_equal():
@@ -87,8 +89,8 @@ def test_different_classes_never_compare_equal():
     word, vector = fc.PrefixedWord(3, (1,)), fc.ExponentVector(3, (1,))
     params = fc.Params(3, 1)
     assert word != vector and vector != word
-    assert params != fc.PrefixedWord(3, 1)
-    assert params.__eq__(fc.PrefixedWord(3, 1)) is NotImplemented
+    assert params != word
+    assert params.__eq__(word) is NotImplemented
     assert params.__eq__((3, 1)) is NotImplemented
     assert params != (3, 1)
     assert fc.DyckTuple((2, 0), 1) != fc.DyckTuple((1, 1), 1)
@@ -159,6 +161,15 @@ def test_copy_and_pickle_round_trip(record, fields, text):
      "entry 2 is False, need a non-negative integer"),
     (lambda: fc.ExponentVector(4, (1, True)), fc.FormatError,
      "entries must be residues in [0, 4)"),
+    (lambda: fc.DepthMatrix([[1, 0], [0, True]]), fc.FormatError,
+     "depth matrix rows must be equal-length tuples of non-negative "
+     "integers"),
+    (lambda: fc.PrefixedWord(True, [0, 2]), fc.FormatError,
+     "word run True is not a non-negative integer"),
+    (lambda: fc.PrefixedWord(-3, (1,)), fc.FormatError,
+     "word run -3 is not a non-negative integer"),
+    (lambda: fc.PrefixedWord(2, (0, 1.5)), fc.FormatError,
+     "word run 1.5 is not a non-negative integer"),
 ])
 def test_validation_errors_are_unchanged(build, error, message):
     with pytest.raises(error, match="^%s$" % re.escape(message)):
