@@ -14,6 +14,8 @@ At L = 0 (a single operand) the count is 1.
 
 Everything here is exact integer arithmetic; the brute-force routines
 exist so the formula is never the only route to a number.
+`enumerate_classes` builds every tree once, over the smaller trees it
+holds, so the members of its classes share their subtrees.
 """
 
 from __future__ import annotations
@@ -148,7 +150,7 @@ def enumerate_classes(params: Params, leaves: int, with_traces: bool = False,
     Refuses to start when the tree count exceeds the budget (argument,
     else the FUSSCAT_BUDGET environment variable, else one million).
     """
-    from .dyck import canonicalize, enumerate_tuples, from_dyck, signature
+    from .dyck import DyckTuple, _coded_trees, canonicalize
 
     params.check_length(leaves - 1)
     limit = _resolve_budget(budget)
@@ -156,18 +158,20 @@ def enumerate_classes(params: Params, leaves: int, with_traces: bool = False,
     if total > limit:
         raise BudgetError("%d trees exceed the budget of %d" % (total, limit))
 
-    groups: dict[tuple[int, ...], tuple[DyckTuple, list[DyckTuple]]] = {}
-    for d in enumerate_tuples(params, leaves - 1):
-        key = signature(d, params)
-        if key not in groups:
-            groups[key] = (canonicalize(d, params), [])
-        groups[key][1].append(d)
+    modulus = params.modulus
+    groups: dict[tuple[int, ...], list[tuple[tuple[int, ...], Tree]]] = {}
+    for entries, t in _coded_trees(params, leaves - 1):
+        # The key is signature's: the residues of the entries after the first.
+        key = tuple(e % modulus for e in entries[1:])
+        groups.setdefault(key, []).append((entries, t))
 
-    reports = [ClassReport(
-        rep, len(members), tuple(from_dyck(d, params) for d in members),
-        _traces(rep.entries, [d.entries for d in members], params)
-        if with_traces else None)
-        for rep, members in groups.values()]
+    reports = []
+    for members in groups.values():
+        rep = canonicalize(DyckTuple(members[0][0], params.step), params)
+        reports.append(ClassReport(
+            rep, len(members), tuple(t for _, t in members),
+            _traces(rep.entries, [entries for entries, _ in members], params)
+            if with_traces else None))
     reports.sort(key=lambda r: r.representative.entries)
     return reports
 

@@ -150,6 +150,33 @@ def enumerate_trees(params: Params, leaves: int) -> Iterator[Tree]:
     return (from_dyck(d, params) for d in enumerate_tuples(params, leaves - 1))
 
 
+def _coded_trees(params: Params,
+                 length: int) -> list[tuple[tuple[int, ...], Tree]]:
+    """(entries, tree) for every tree of the given length, in the order
+    of enumerate_tuples; the caller checks the size.
+
+    Builds size by size: a tree with i internal nodes is a node over m
+    trees with i-1 in all, so each tree is made once and shared by every
+    larger tree that holds it.  Beside it go its preorder runs, its
+    entries and a closing 0: a node's runs are its children's joined,
+    with s added to the first.  All runs of one size have one length, so
+    sorting by them is the order of enumerate_tuples."""
+    m, s = params.m, params.step
+    sized = [[((0,), leaf())]]  # sized[i]: (runs, tree) with i internal nodes
+    for i in range(1, length // s + 1):
+        heads = [((), (), 0)]  # the first m-1 children: (runs, trees, nodes)
+        for _ in range(m - 1):
+            heads = [(runs + r, kids + (t,), used + j)
+                     for runs, kids, used in heads
+                     for j in range(i - used) for r, t in sized[j]]
+        # The last child takes the nodes that are left.
+        sized.append([((runs[0] + s,) + runs[1:] + r, Tree(kids + (t,)))
+                      for runs, kids, used in heads
+                      for r, t in sized[i - 1 - used]])
+    return [(runs[:-1], t)
+            for runs, t in sorted(sized[-1], key=lambda pair: pair[0])]
+
+
 def depth_to_tuple(dm, params: Params) -> DyckTuple:
     """Recover the path tuple straight from a depth matrix.
 

@@ -8,6 +8,8 @@ arithmetic happens mod k(m-1).
 
 from __future__ import annotations
 
+import sys
+
 from .errors import ArityError, DomainError
 
 
@@ -72,7 +74,12 @@ class Params(_Record):
         return length >= 0 and length % (self.m - 1) == 0
 
     def check_length(self, length: int) -> None:
-        """Raise ArityError unless some m-ary tree has length + 1 leaves."""
+        """Raise ArityError unless some m-ary tree has length + 1 leaves,
+        and DomainError for a length above sys.maxsize, the largest size
+        the binomials of the counts accept."""
         if not self.fits(length):
             raise ArityError("no %d-ary tree has %d leaves (length %d)"
                              % (self.m, length + 1, length))
+        if length > sys.maxsize:
+            raise DomainError("length %d is above the largest supported "
+                              "size %d" % (length, sys.maxsize))

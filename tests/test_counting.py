@@ -300,10 +300,66 @@ def test_traced_classes_make_no_tree_rotation(monkeypatch):
                               (("left", (), 1),), ()))]
 
 
+def _reference_classes(params, leaves, with_traces):
+    """The route that decodes each member on its own: enumerate the
+    tuples, group them by signature, decode the members with from_dyck."""
+    from fusscat.counting import _traces
+
+    groups = {}
+    for d in fc.enumerate_tuples(params, leaves - 1):
+        groups.setdefault(fc.signature(d, params), []).append(d)
+    reports = []
+    for members in groups.values():
+        rep = fc.canonicalize(members[0], params)
+        traces = (_traces(rep.entries, [d.entries for d in members], params)
+                  if with_traces else None)
+        reports.append((rep, tuple(fc.from_dyck(d, params) for d in members),
+                        traces))
+    return sorted(reports, key=lambda report: report[0].entries)
+
+
+def test_enumerate_classes_matches_the_decoding_route():
+    for params in GRID_PARAMS:
+        for leaves in valid_leaf_counts(params, 10):
+            with_traces = fc.fuss_catalan(params.m, leaves) <= 1500
+            got = [(r.representative, r.members, r.traces) for r in
+                   fc.enumerate_classes(params, leaves, with_traces=with_traces)]
+            assert got == _reference_classes(params, leaves, with_traces), \
+                (params, leaves)
+
+
+@pytest.mark.parametrize("m,leaves,distinct", [(2, 11, 23714), (3, 11, 345),
+                                               (4, 10, 28)])
+def test_class_members_share_their_subtrees(m, leaves, distinct):
+    # One object per distinct tree with at most `leaves` leaves; decoding
+    # each member on its own makes one object per node of every member.
+    seen = set()
+    todo = [t for report in fc.enumerate_classes(fc.Params(m, 1), leaves)
+            for t in report.members]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            todo.extend(node.children)
+    assert len(seen) == distinct
+
+
 def test_enumerate_classes_budget():
     with pytest.raises(fc.BudgetError):
         fc.enumerate_classes(P32, 7, budget=5)
     assert len(fc.enumerate_classes(P32, 7, budget=12)) == 10
+
+
+def test_enumerate_classes_checks_the_budget_before_building(monkeypatch):
+    import fusscat.dyck
+
+    def refuse(*args):
+        raise AssertionError("trees built before the budget check")
+
+    # Catalan(40) trees: building them first would never finish.
+    monkeypatch.setattr(fusscat.dyck, "_coded_trees", refuse)
+    with pytest.raises(fc.BudgetError):
+        fc.enumerate_classes(fc.Params(2, 1), 41, budget=10)
 
 
 def test_budget_env_var(monkeypatch):

@@ -6,6 +6,7 @@ route."""
 from __future__ import annotations
 
 import re
+import sys
 
 import pytest
 
@@ -72,3 +73,21 @@ def test_runs_that_do_not_fold_keep_their_own_message(operands):
                 "run of %d operands cannot fold at arity 3 (offset 0)"
                 % operands)):
             fc.parse(" ".join("x" * operands), params)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fc.fuss_catalan(2, 2**63 + 1),
+    lambda: fc.modular_fuss_catalan(fc.Params(2, 1), 2**63),
+    lambda: fc.enumerate_classes(fc.Params(2, 1), 2**63 + 1),
+], ids=["fuss_catalan", "modular_fuss_catalan", "enumerate_classes"])
+def test_a_size_past_sys_maxsize_is_refused(call):
+    with pytest.raises(fc.DomainError, match="^length 9223372036854775808 "):
+        call()
+
+
+def test_count_refuses_a_huge_size(capsys):
+    assert cli.main(["count", "--m", "2", "--k", "1",
+                     "--leaves", "99999999999999999999"]) == 2
+    assert capsys.readouterr().err == (
+        "error: length 99999999999999999998 is above the largest supported "
+        "size %d\n" % sys.maxsize)
