@@ -240,6 +240,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    # A count may have more digits than Python (3.11 on) converts to text
+    # by default, so the commands that print counts lift that limit.
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    lift = digits and args.func in (_cmd_count, _cmd_table, _cmd_verify)
+    if lift:
+        sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
     except FusscatError as error:
@@ -251,6 +257,9 @@ def main(argv=None) -> int:
         print("error: internal: %s: %s" % (type(error).__name__, error),
               file=sys.stderr)
         return 3
+    finally:
+        if lift:
+            sys.set_int_max_str_digits(digits)
 
 
 if __name__ == "__main__":

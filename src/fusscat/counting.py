@@ -113,19 +113,22 @@ def _traces(seed: tuple[int, ...], members: list[tuple[int, ...]],
     A breadth-first closure of {seed} under both directions records the
     step back along the move that first reaches each tuple; a move
     rewrites two entries by K.  The closure must be exactly the members."""
-    from .dyck import _moves
+    from .dyck import _address, _move_table
 
     modulus = params.modulus
     parents: dict[tuple[int, ...], Optional[tuple]] = {seed: None}
     reached = [seed]
     for d in reached:  # the list grows while it is read: breadth-first
-        for direction, back, shift in (("right", "left", modulus),
-                                       ("left", "right", -modulus)):
-            for address, position, lo, hi in _moves(d, params, direction):
-                u = (d[:lo] + (d[lo] - shift,) + d[lo + 1:hi]
-                     + (d[hi] + shift,) + d[hi + 1:])
+        right, left, up = _move_table(d, params)
+        for moves, back, shift in ((right, "left", modulus),
+                                   (left, "right", -modulus)):
+            for node, position, lo, hi in moves:
+                edited = list(d)
+                edited[lo] -= shift
+                edited[hi] += shift
+                u = tuple(edited)
                 if u not in parents:
-                    parents[u] = (d, (back, address, position))
+                    parents[u] = (d, (back, _address(up, node), position))
                     reached.append(u)
     if parents.keys() != set(members):
         raise InternalInvariantError(

@@ -244,45 +244,68 @@ def print_dyck(d: DyckTuple, fmt: str = "tuple") -> str:
     raise ValueError("fmt must be 'tuple' or 'ns', got %r" % (fmt,))
 
 
-def _moves(entries: tuple[int, ...], params: Params, direction: str) -> list:
-    """Every k-rotation of the tree with these path entries, in the
-    order of rotation_sites, as (address, position, lo, hi): the right
-    move takes K from entries[lo] and adds it to entries[hi], the left
-    move the reverse.
+def _move_table(entries: tuple[int, ...], params: Params) -> tuple:
+    """Every k-rotation of the tree with these path entries, both
+    directions in one pass: (right, left, up).  A move is (node, position,
+    lo, hi): the right move takes K from entries[lo] and adds it to
+    entries[hi], the left move the reverse.  Nodes are numbered in
+    preorder from 0 at the root, and up[node] is (parent, child index);
+    preorder is address order, so each list is sorted as rotation_sites.
 
-    One pass over the leaves keeps the open nodes on a stack.  Where
-    leaf j begins child c >= 2 of the top node v, the left move at
-    (v, c-1) applies if entries[j] >= K, as child c then heads a chain
-    of k nodes; for c = 2, the right move at (u, p) applies if v is the
-    k-th node of the first-child chain that child p < m of u heads.
-    The last leaf begins neither, so the pass stops before it."""
-    if direction not in ("right", "left"):
-        raise ValueError("direction must be 'right' or 'left', got %r"
-                         % (direction,))
-    m, k, s = params.m, params.k, params.step
+    The pass keeps the open nodes on a stack.  Where leaf j begins child
+    c >= 2 of the top node v, the left move at (v, c-1) applies if
+    entries[j] >= K, as child c then heads a chain of k nodes; for c = 2,
+    the right move at (u, p) applies if v is the k-th node of the
+    first-child chain that child p < m of u heads.  The last leaf begins
+    neither, so the pass stops before it."""
+    m, k, s, modulus = params.m, params.k, params.step, params.modulus
     chain = [1] * (k - 1)  # child 1 read on each node from u's child to v
+    up = [(0, 0)]  # per node: (parent, child index); the root's is unused
+    node: list[int] = []  # per open node: its number
     child: list[int] = []  # per open node: the child being read, from 1
     start: list[int] = []  # per open node: the leaf where that child began
-    found = []
+    right, left = [], []
     for j, e in enumerate(entries):
         if j:
             while child[-1] == m:
-                child.pop()
-                start.pop()
+                del node[-1], child[-1], start[-1]
             c = child[-1] = child[-1] + 1
-            if direction == "left":
-                if e >= params.modulus:
-                    found.append((tuple(child[:-1]), c - 1, start[-1], j))
-            elif (c == 2 and len(child) > k and child[-k - 1] < m
-                  and child[-k:-1] == chain):
-                u = len(child) - k - 1  # v's ancestor k levels up
-                found.append((tuple(child[:u]), child[u], start[-1], j))
+            if e >= modulus:
+                left.append((node[-1], c - 1, start[-1], j))
+            if (c == 2 and len(child) > k and child[-k - 1] < m
+                    and child[-k:-1] == chain):
+                # v's ancestor u, k levels up
+                right.append((node[-k - 1], child[-k - 1], start[-1], j))
             start[-1] = j
         for _ in range(e // s):
+            if node:
+                up.append((node[-1], child[-1]))
+            node.append(len(up) - 1)
             child.append(1)
             start.append(j)
-    found.sort()  # the pass meets a node's left moves after its children's
-    return found
+    right.sort()  # the pass meets a node's moves after its children's
+    left.sort()
+    return right, left, up
+
+
+def _address(up: list[tuple[int, int]], node: int) -> tuple[int, ...]:
+    """The address of a node numbered by _move_table."""
+    address = []
+    while node:
+        node, index = up[node]
+        address.append(index)
+    return tuple(address[::-1])
+
+
+def _moves(entries: tuple[int, ...], params: Params, direction: str) -> list:
+    """The moves of one direction from _move_table, each as (address,
+    position, lo, hi)."""
+    if direction not in ("right", "left"):
+        raise ValueError("direction must be 'right' or 'left', got %r"
+                         % (direction,))
+    right, left, up = _move_table(entries, params)
+    return [(_address(up, node), position, lo, hi) for node, position, lo, hi
+            in (right if direction == "right" else left)]
 
 
 def rotation_sites(t: Tree, params: Params, direction: str = "right") -> list[Site]:
@@ -317,8 +340,7 @@ def is_minimal(d: DyckTuple, params: Params) -> bool:
     """True when every entry after the first is < K; each class holds
     exactly one such tuple and it serves as the representative."""
     _check_step(d, params)
-    modulus = params.modulus
-    return all(e < modulus for e in d.entries[1:])
+    return max(d.entries[1:], default=0) < params.modulus
 
 
 def signature(d: DyckTuple, params: Params) -> tuple[int, ...]:

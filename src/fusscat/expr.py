@@ -20,6 +20,7 @@ the paren omission the left-associative reading recovers by itself.
 from __future__ import annotations
 
 import re
+from itertools import islice
 from typing import TYPE_CHECKING
 
 from .dyck import DyckTuple, from_dyck, to_dyck
@@ -37,44 +38,51 @@ _TOKEN = re.compile(r"[^\W\d]\w*|[*()]|\Z")
 _BAD = re.compile(r"(?<!\w)\d|[^\w\s*()]")
 
 
+def _offset(text: str, index: int) -> int:
+    """Where the index-th token of text starts; index -1 is the text."""
+    return (next(islice(_TOKEN.finditer(text), index, None)).start()
+            if index >= 0 else 0)
+
+
 def _read(text: str, params: Params) -> DyckTuple:
-    """The path tuple of an expression, read in one scan."""
+    """The path tuple of an expression, read in one scan of its tokens;
+    an error looks up its character offset only when it is raised."""
     if bad := _BAD.search(text):
         raise ParseError("unexpected character %r" % bad.group(), bad.start())
     ups: list[int] = []  # per leaf read: m-1 times the groups opening before it
     groups: list[tuple[int, int, int]] = []  # the enclosing runs, as below
-    start, count, first = 0, 0, 0  # offset, operands, first leaf of the run
+    start, count, first = -1, 0, 0  # '(' token, operands, first leaf of the run
     need = True  # an operand must come next
-    for match in _TOKEN.finditer(text):
-        tok = match.group()
+    for i, tok in enumerate(_TOKEN.findall(text)):
         if tok == "*" and not need:
             need = True
         elif tok == "(":
             groups.append((start, count, first))
-            start, count, first = match.start(), 0, len(ups)
+            start, count, first = i, 0, len(ups)
             need = True
         elif tok not in ("", "*", ")"):
             ups.append(0)
             count += 1
             need = False
         elif need:
-            raise ParseError("expected an operand", match.start())
+            raise ParseError("expected an operand", _offset(text, i))
         else:  # the run ends
             if groups and count == 1:
                 raise ArityError(
-                    "parenthesized group needs at least two operands", start)
+                    "parenthesized group needs at least two operands",
+                    _offset(text, start))
             if not params.fits(count - 1):
                 raise ArityError(
                     "run of %d operands cannot fold at arity %d"
-                    % (count, params.m), start)
+                    % (count, params.m), _offset(text, start))
             ups[first] += count - 1
             if not groups:
                 if tok:
-                    raise ParseError("unexpected %r" % tok, match.start())
+                    raise ParseError("unexpected %r" % tok, _offset(text, i))
                 ups.pop()  # the last leaf closes no run
                 return DyckTuple(ups, params.step)
             if not tok:
-                raise ParseError("unbalanced '('", start)
+                raise ParseError("unbalanced '('", _offset(text, start))
             start, count, first = groups.pop()
             count += 1
 

@@ -30,15 +30,16 @@ Site = tuple[Address, int]  # (address of node, child position j)
 class Tree:
     """Immutable ordered tree; a leaf has no children.
 
-    Instances are hashable and compare structurally.  Construct through
-    leaf() / meet() so the arity invariant is enforced.
+    Instances are hashable and compare structurally; a tree is hashed
+    when its hash is first asked for, and _hash is None until then.
+    Construct through leaf() / meet() so the arity invariant is enforced.
     """
 
     __slots__ = ("children", "_hash")
 
     def __init__(self, children: tuple["Tree", ...] = ()):
         self.children = children
-        self._hash = hash(children)
+        self._hash = None
 
     @property
     def is_leaf(self) -> bool:
@@ -65,7 +66,9 @@ class Tree:
         pairs = [(self, other)]
         while pairs:
             a, b = pairs.pop()
-            if a._hash != b._hash or len(a.children) != len(b.children):
+            # Kept hashes reject early where both trees have one.
+            if len(a.children) != len(b.children) or (
+                    a._hash != b._hash and None not in (a._hash, b._hash)):
                 return False
             for x, y in zip(a.children, b.children):
                 if x is not y:
@@ -73,6 +76,17 @@ class Tree:
         return True
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            # Every unhashed inner node, listed after its parent: hashed in
+            # reverse, each finds the hashes of the nodes below it kept, so
+            # no call recurses deeper than into a leaf.
+            order = [self]
+            for node in order:  # the list grows while it is read
+                for child in node.children:
+                    if child.children and child._hash is None:
+                        order.append(child)
+            for node in reversed(order):
+                node._hash = hash(node.children)
         return self._hash
 
     def __repr__(self) -> str:

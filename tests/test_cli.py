@@ -51,6 +51,23 @@ def test_count_brute(run):
     assert (code, out) == (0, "8\n")
 
 
+def test_count_prints_more_digits_than_the_int_to_text_limit(run):
+    # fuss_catalan(2, 8001) has 4,811 digits, past the default limit of
+    # 4,300 that Python puts on converting an int to text since 3.11.
+    get_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+    set_digits = getattr(sys, "set_int_max_str_digits", lambda digits: None)
+    limit = get_digits()
+    code, out, err = run("count", "--m", "2", "--k", "8000",
+                         "--length", "8000")
+    assert (code, err, len(out)) == (0, "", 4812)
+    assert get_digits() == limit  # restored when the command ends
+    set_digits(0)
+    try:
+        assert out == "%d\n" % fusscat.counting.fuss_catalan(2, 8001)
+    finally:
+        set_digits(limit)
+
+
 def test_count_requires_exactly_one_size_flag(run):
     code, _, _ = run("count", "--m", "3", "--k", "2",
                      "--length", "6", "--leaves", "7")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import time
 from contextlib import contextmanager
@@ -298,6 +299,24 @@ def test_traced_classes_make_no_tree_rotation(monkeypatch):
         (entries, ((),)) for entries in singles] + [
         ((6, 0, 0, 0, 0, 0), ((("left", (), 2), ("left", (), 1)),
                               (("left", (), 1),), ()))]
+
+
+# SHA-256 over the repr of every traced class list with at most 9 leaves,
+# m 2..4 and k 1..3: the members, the breadth-first traces and so the
+# order in which the closure lists its moves.
+_TRACE_DIGEST = \
+    "3a59839ae8fe791d0982e5f8aafce55e37ab7e8e9c7d9b14a1483b07bb8cb56e"
+
+
+def test_traced_classes_are_frozen():
+    digest = hashlib.sha256()
+    for m in (2, 3, 4):
+        for k in (1, 2, 3):
+            params = fc.Params(m, k)
+            for leaves in valid_leaf_counts(params, 9):
+                reports = fc.enumerate_classes(params, leaves, with_traces=True)
+                digest.update(repr(reports).encode() + b"\n")
+    assert digest.hexdigest() == _TRACE_DIGEST
 
 
 def _reference_classes(params, leaves, with_traces):

@@ -187,6 +187,15 @@ def test_leaf_count_of_a_1e5_leaf_comb(budget):
         assert _right_comb(params, leaves).leaf_count == leaves
 
 
+def test_hash_of_a_1e5_leaf_comb(budget):
+    for params in (fc.Params(2, 1), fc.Params(3, 1)):
+        leaves = 1 + (OPERANDS - 1) // params.step * params.step
+        for build in (comb, _right_comb):
+            t = build(params, leaves)
+            assert hash(t) == hash(t.children)
+            assert hash(build(params, leaves)) == hash(t)
+
+
 def test_first_tuple_of_length_5000(budget):
     assert next(fc.enumerate_tuples(fc.Params(2, 1), 5000)).entries == \
         (1,) * 5000

@@ -77,6 +77,10 @@ def test_parse_reads_unicode_names_whole(text, operands):
     ("x1**$", 4),
     ("(x1 x2 $", 7),
     ("x1*x2)1", 6),
+    ("(x1*x2*x3)*(x4*x5*x6)*x7**x8", 25),  # after two closed groups
+    ("(a b c)(d e f)(g h i))", 21),
+    # an unbalanced '(' after 30 closed groups, with one more inside it
+    ("a*b*c*" + "(d e f) " * 30 + "(g*h*(i*j*k)*l*m", 6 + 8 * 30),
 ])
 def test_parse_error_offsets(text, offset):
     with pytest.raises(fc.ParseError) as info:
@@ -90,6 +94,8 @@ def test_parse_error_offsets(text, offset):
     ("(x1*x2)*x3", 0),
     ("x1*(x2*x3)*x4", 3),
     ("a b c d", 0),
+    ("x1*((x2*x3*x4*x5)*x6*x7)*x8", 4),  # a fold error in an inner run
+    ("(a b c) " * 20 + "x*(y*(z*u)*v)", 8 * 20 + 5),
 ])
 def test_parse_arity_error_offsets(text, offset):
     with pytest.raises(fc.ArityError) as info:

@@ -137,6 +137,44 @@ def test_enumerate_trees_single_leaf_and_bad_counts():
         list(fc.enumerate_trees(P32, 0))
 
 
+def _trees_to_hash():
+    """(params, tree) for trees from every constructor: decoded, parsed,
+    and class members, which share their subtrees."""
+    for params in (fc.Params(2, 1), P32):
+        for leaves in valid_leaf_counts(params, 7):
+            for t in fc.enumerate_trees(params, leaves):
+                yield params, t
+                yield params, fc.parse(fc.unparse(t), params)
+            for report in fc.enumerate_classes(params, leaves):
+                for t in report.members:
+                    yield params, t
+
+
+def test_hash_is_the_hash_of_the_children():
+    for _, t in _trees_to_hash():
+        assert hash(t) == hash(t.children)
+
+
+def test_trees_built_apart_hash_and_compare_equal():
+    for params, t in _trees_to_hash():
+        again = fc.parse(fc.unparse(t, "full"), params)
+        assert again is not t or t.is_leaf
+        assert again == t and hash(again) == hash(t)
+
+
+def test_unequal_trees_of_one_size_compare_unequal():
+    for params in (fc.Params(2, 1), P32):
+        for leaves in valid_leaf_counts(params, 7):
+            trees = list(fc.enumerate_trees(params, leaves))
+            rebuilt = list(fc.enumerate_trees(params, leaves))
+            # Hash some, so that pairs with both, one and no hash meet.
+            for t in trees[::2] + rebuilt[::3]:
+                hash(t)
+            for i, a in enumerate(trees):
+                for j, b in enumerate(rebuilt):
+                    assert (a == b) == (i == j)
+
+
 def test_rotation_sites_left_comb():
     assert fc.rotation_sites(comb(P32, 7), P32, "right") == [((), 1)]
     assert fc.rotation_sites(fc.leaf(), P32, "right") == []
