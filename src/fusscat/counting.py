@@ -13,9 +13,11 @@ device: `enumerate_prefixed_words` lists them for criterion 09.
 At L = 0 (a single operand) the count is 1.
 
 Everything here is exact integer arithmetic; the brute-force routines
-exist so the formula is never the only route to a number.
-`enumerate_classes` builds every tree once, over the smaller trees it
-holds, so the members of its classes share their subtrees.
+exist so the formula is never the only route to a number, and refuse to
+start over budget.  `count_minimal_brute` keeps the plain entry lists
+whose entries after the first are < K.  `enumerate_classes` builds every
+tree once, over the smaller trees it holds, so the members of its
+classes share their subtrees, and reads each minimal tuple off its key.
 """
 
 from __future__ import annotations
@@ -38,19 +40,6 @@ RotationStep = tuple[str, tuple[int, ...], int]  # (direction, address, position
 
 DEFAULT_BUDGET = 1_000_000
 BUDGET_ENV_VAR = "FUSSCAT_BUDGET"
-
-
-def _resolve_budget(budget: Optional[int]) -> int:
-    if budget is not None:
-        return budget
-    raw = os.environ.get(BUDGET_ENV_VAR)
-    if raw is None:
-        return DEFAULT_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise DomainError("%s must be an integer, got %r"
-                          % (BUDGET_ENV_VAR, raw)) from None
 
 
 def fuss_catalan(m: int, leaves: int) -> int:
@@ -80,14 +69,38 @@ def modular_fuss_catalan(params: Params, length: int) -> int:
     return q
 
 
-def count_minimal_brute(params: Params, length: int) -> int:
-    """Count the minimal tuples directly, one class each: enumerate all
-    valid tuples and keep those whose tail entries are < K."""
-    from .dyck import enumerate_tuples, is_minimal
+def _check_budget(m: int, length: int, budget: Optional[int]) -> None:
+    """Refuse when the m-ary trees of this length outnumber the budget;
+    n internal nodes make at least 2^(n-1) trees, so a large n needs no
+    count."""
+    if budget is None:
+        raw = os.environ.get(BUDGET_ENV_VAR, DEFAULT_BUDGET)
+        try:
+            budget = int(raw)
+        except ValueError:
+            raise DomainError("%s must be an integer, got %r"
+                              % (BUDGET_ENV_VAR, raw)) from None
+    n = length // (m - 1)
+    if n > int(budget).bit_length():
+        raise BudgetError("at least 2**%d trees exceed the budget of %d"
+                          % (n - 1, budget))
+    total = fuss_catalan(m, length + 1)
+    if total > budget:
+        raise BudgetError("%d trees exceed the budget of %d" % (total, budget))
+
+
+def count_minimal_brute(params: Params, length: int,
+                        budget: Optional[int] = None) -> int:
+    """Count the minimal tuples directly, one class each: walk the entries
+    of every valid tuple as a plain list and keep those whose tail entries
+    are < K.  Refuses over budget, as enumerate_classes does."""
+    from .dyck import _entry_lists
 
     params.check_length(length)
-    return sum(1 for d in enumerate_tuples(params, length)
-               if is_minimal(d, params))
+    _check_budget(params.m, length, budget)
+    modulus = params.modulus
+    return sum(1 for entries in _entry_lists(length, params.step)
+               if max(entries[1:], default=0) < modulus)
 
 
 class ClassReport(_Record):
@@ -153,24 +166,28 @@ def enumerate_classes(params: Params, leaves: int, with_traces: bool = False,
     Refuses to start when the tree count exceeds the budget (argument,
     else the FUSSCAT_BUDGET environment variable, else one million).
     """
-    from .dyck import DyckTuple, _coded_trees, canonicalize
+    from .dyck import DyckTuple, _coded_trees
 
-    params.check_length(leaves - 1)
-    limit = _resolve_budget(budget)
-    total = fuss_catalan(params.m, leaves)
-    if total > limit:
-        raise BudgetError("%d trees exceed the budget of %d" % (total, limit))
+    length = leaves - 1
+    params.check_length(length)
+    _check_budget(params.m, length, budget)
 
     modulus = params.modulus
     groups: dict[tuple[int, ...], list[tuple[tuple[int, ...], Tree]]] = {}
-    for entries, t in _coded_trees(params, leaves - 1):
-        # The key is signature's: the residues of the entries after the first.
-        key = tuple(e % modulus for e in entries[1:])
+    for entries, t in _coded_trees(params, length):
+        # The key is signature's, and the tail of the class's minimal tuple.
+        key = tuple([e % modulus for e in entries[1:]])
         groups.setdefault(key, []).append((entries, t))
 
     reports = []
-    for members in groups.values():
-        rep = canonicalize(DyckTuple(members[0][0], params.step), params)
+    for key, members in groups.items():
+        try:
+            rep = DyckTuple((length - sum(key), *key) if length else (),
+                            params.step)
+        except FormatError as exc:
+            raise InternalInvariantError(
+                "minimal tuple of signature %r is not a valid tuple: %s"
+                % (key, exc)) from exc
         reports.append(ClassReport(
             rep, len(members), tuple(t for _, t in members),
             _traces(rep.entries, [entries for entries, _ in members], params)

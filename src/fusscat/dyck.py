@@ -76,20 +76,23 @@ def enumerate_tuples(params: Params, length: int) -> Iterator[DyckTuple]:
     """Yield every valid tuple of the given length in ascending
     lexicographic order."""
     params.check_length(length)
-    return _tuples_from(length, params.step)
+    s = params.step
+    return (DyckTuple(entries, s) for entries in _entry_lists(length, s))
 
 
-def _tuples_from(length: int, s: int) -> Iterator[DyckTuple]:
+def _entry_lists(length: int, s: int) -> Iterator[list[int]]:
+    """enumerate_tuples' entries, one list edited in place between yields."""
     entries: list[int] = []
     total = 0
     while True:
         # Complete the tuple with the smallest entries that keep the path
         # on or above the axis; the last one closes it.
         for i in range(len(entries), length):
-            e = max(0, -(-(i + 1 - total) // s) * s)
+            need = i + 1 - total
+            e = -(-need // s) * s if need > 0 else 0
             entries.append(e)
             total += e
-        yield DyckTuple(entries, s)
+        yield entries
         # Drop the entries that cannot grow by s and still leave the path
         # closable, then grow the last one left.
         while entries and total + s > length:

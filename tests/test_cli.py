@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -49,6 +50,16 @@ def test_count_brute(run):
     code, out, _ = run("count", "--m", "2", "--k", "2", "--length", "4",
                        "--brute")
     assert (code, out) == (0, "8\n")
+
+
+def test_count_brute_over_budget_exits_2_at_once(run):
+    start = time.monotonic()
+    code, out, err = run("count", "--m", "2", "--k", "1",
+                         "--length", "1000000000000", "--brute")
+    assert time.monotonic() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == ("error: at least 2**999999999999 trees exceed the "
+                   "budget of 1000000\n")
 
 
 def test_count_prints_more_digits_than_the_int_to_text_limit(run):
@@ -319,8 +330,24 @@ def test_verify_skips_classes_over_budget(run, monkeypatch):
                        "--max-length", "6", "--classes")
     assert code == 0
     lines = out.splitlines()
-    assert "m=3 k=2 length=6 formula=10 brute=10 classes=skipped ok" in lines
+    assert "m=3 k=2 length=6 formula=10 brute=skipped classes=skipped ok" \
+        in lines
     assert "m=3 k=2 length=4 formula=3 brute=3 classes=3 ok" in lines
+
+
+def test_verify_skips_the_brute_over_budget(run):
+    # Catalan(30) tuples would never finish; the default budget stops the
+    # brute at L = 14 and the formula still runs in every cell.
+    start = time.monotonic()
+    code, out, _ = run("verify", "--m-range", "2", "--k-range", "2",
+                       "--max-length", "30")
+    assert time.monotonic() - start < 10.0
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[-1] == "checked 30 cells, 0 mismatches"
+    assert "m=2 k=2 length=13 formula=4096 brute=4096 ok" in lines
+    assert "m=2 k=2 length=14 formula=8192 brute=skipped ok" in lines
+    assert "m=2 k=2 length=30 formula=%d brute=skipped ok" % 2**29 in lines
 
 
 def test_verify_reports_mismatches(run, monkeypatch):

@@ -186,6 +186,53 @@ def test_count_minimal_brute_accepts_the_empty_length():
         fc.count_minimal_brute(P32, 5)
 
 
+def test_count_minimal_brute_builds_no_tuple(monkeypatch):
+    # The brute walks plain entry lists; one DyckTuple would fail.
+    def refuse(*args):
+        raise AssertionError("count_minimal_brute built a DyckTuple")
+
+    monkeypatch.setattr(fc.DyckTuple, "__init__", refuse)
+    for m in (2, 3, 4):
+        for k in (1, 2, 3, 4):
+            counts = _ballot_minimal_counts(m, k, 12)
+            for length in range(0, 13, m - 1):
+                assert fc.count_minimal_brute(fc.Params(m, k), length) \
+                    == counts[length], (m, k, length)
+
+
+def test_count_minimal_brute_budget():
+    with pytest.raises(fc.BudgetError, match="^12 trees exceed the budget "
+                       "of 5$"):
+        fc.count_minimal_brute(P32, 6, budget=5)
+    assert fc.count_minimal_brute(P32, 6, budget=12) == 10
+
+
+@pytest.mark.parametrize("route", [
+    fc.count_minimal_brute,
+    lambda p, n, **budget: fc.enumerate_classes(p, n + 1, **budget),
+], ids=["count_minimal_brute", "enumerate_classes"])
+def test_a_huge_size_is_refused_without_counting_its_trees(route, monkeypatch):
+    # n internal nodes make at least 2^(n-1) trees, so a size far past
+    # the budget is refused before the tree count is computed.
+    import fusscat.counting
+    import fusscat.dyck
+
+    def refuse(*args):
+        raise AssertionError("counted or built trees past the budget")
+
+    monkeypatch.setattr(fusscat.counting, "fuss_catalan", refuse)
+    for name in ("_entry_lists", "_coded_trees"):
+        monkeypatch.setattr(fusscat.dyck, name, refuse)
+    with pytest.raises(fc.BudgetError, match=r"^at least 2\*\*21 trees "
+                       "exceed the budget of 1000000$"):
+        route(fc.Params(2, 1), 22)
+    with pytest.raises(fc.BudgetError):
+        route(fc.Params(2, 1), 10**12 - 1)
+    with pytest.raises(fc.BudgetError, match=r"^at least 2\*\*3 trees "
+                       "exceed the budget of 7$"):
+        route(fc.Params(3, 2), 8, budget=7)
+
+
 def test_degenerate_k_one_gives_full_associativity(large_budget):
     for m in (2, 3, 4):
         params = fc.Params(m, 1)
@@ -301,6 +348,33 @@ def test_traced_classes_make_no_tree_rotation(monkeypatch):
                               (("left", (), 1),), ()))]
 
 
+def test_enumerate_classes_builds_one_tuple_per_class(monkeypatch):
+    # The representative is read off the group key: one DyckTuple per
+    # class, and no canonicalize.
+    import fusscat.dyck
+
+    def refuse(*args):
+        raise AssertionError("enumerate_classes called canonicalize")
+
+    for module in (fc, fusscat.dyck):
+        monkeypatch.setattr(module, "canonicalize", refuse)
+    built = []
+    init = fc.DyckTuple.__init__
+
+    def counted(self, entries, step):
+        built.append(tuple(entries))
+        init(self, entries, step)
+
+    monkeypatch.setattr(fc.DyckTuple, "__init__", counted)
+    for params in GRID_PARAMS:
+        for leaves in valid_leaf_counts(params, 9):
+            for with_traces in (False, True):
+                del built[:]
+                reports = fc.enumerate_classes(params, leaves, with_traces)
+                assert sorted(built) == [r.representative.entries
+                                         for r in reports], (params, leaves)
+
+
 # SHA-256 over the repr of every traced class list with at most 9 leaves,
 # m 2..4 and k 1..3: the members, the breadth-first traces and so the
 # order in which the closure lists its moves.
@@ -385,11 +459,16 @@ def test_budget_env_var(monkeypatch):
     monkeypatch.setenv("FUSSCAT_BUDGET", "5")
     with pytest.raises(fc.BudgetError):
         fc.enumerate_classes(P32, 7)
+    with pytest.raises(fc.BudgetError):
+        fc.count_minimal_brute(P32, 6)
     monkeypatch.setenv("FUSSCAT_BUDGET", "notanumber")
     with pytest.raises(fc.DomainError):
         fc.enumerate_classes(P32, 7)
+    with pytest.raises(fc.DomainError):
+        fc.count_minimal_brute(P32, 6)
     monkeypatch.delenv("FUSSCAT_BUDGET")
     assert len(fc.enumerate_classes(P32, 7)) == 10
+    assert fc.count_minimal_brute(P32, 6) == 10
 
 
 def test_enumerate_classes_rejects_bad_leaf_count():
