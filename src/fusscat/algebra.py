@@ -56,14 +56,8 @@ def eval_recursive(t: Tree, params: Params) -> ExponentVector:
 def eval_by_depth(dm: DepthMatrix, params: Params) -> ExponentVector:
     """Evaluate from the depth matrix alone: the exponent of leaf j is
     the (m-i)-weighted sum of its label depths."""
-    if dm.arity != params.m:
-        raise FormatError("depth matrix has %d rows but arity is %d"
-                          % (dm.arity, params.m))
-    m, modulus = params.m, params.modulus
-    entries = tuple(
-        sum((m - i) * dm.rows[i - 1][j] for i in range(1, m + 1)) % modulus
-        for j in range(dm.leaf_count))
-    return ExponentVector(modulus, entries)
+    modulus = params.modulus
+    return ExponentVector(modulus, [w % modulus for w in dm._weights(params)])
 
 
 def equivalent_by_eval(a: Tree, b: Tree, params: Params) -> bool:

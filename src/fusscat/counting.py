@@ -41,10 +41,29 @@ RotationStep = tuple[str, tuple[int, ...], int]  # (direction, address, position
 DEFAULT_BUDGET = 1_000_000
 BUDGET_ENV_VAR = "FUSSCAT_BUDGET"
 
+# The most work the formulas take on, in units of terms * L^2: a sum of
+# T terms at length L multiplies binomials of about L bits, which costs
+# about L^2 bit operations each.  At the limit a count takes some
+# seconds: (2, 1, 4000) ran in 5.6 s and fuss_catalan at L = 3 * 10^5
+# in 6.1 s on a 2-core VM, with Python 3.11.
+FORMULA_WORK_LIMIT = 2**36
+
+
+def _check_work(length: int, terms: int) -> None:
+    """Refuse a formula whose estimated work passes FORMULA_WORK_LIMIT;
+    integer arithmetic only, before any binomial."""
+    work = terms * length * length
+    if work > FORMULA_WORK_LIMIT:
+        raise DomainError("length %d is past the formula's work limit: "
+                          "terms * length**2 = %d > %d"
+                          % (length, work, FORMULA_WORK_LIMIT))
+
 
 def fuss_catalan(m: int, leaves: int) -> int:
-    """Number of m-ary trees with the given leaf count."""
+    """Number of m-ary trees with the given leaf count; refuses a count
+    past FORMULA_WORK_LIMIT."""
     Params(m, 1).check_length(leaves - 1)
+    _check_work(leaves - 1, 1)
     n = (leaves - 1) // (m - 1)  # internal nodes
     q, r = divmod(comb(m * n, n), (m - 1) * n + 1)
     if r:
@@ -54,11 +73,13 @@ def fuss_catalan(m: int, leaves: int) -> int:
 
 
 def modular_fuss_catalan(params: Params, length: int) -> int:
-    """Number of k-equivalence classes of tuples of the given length."""
+    """Number of k-equivalence classes of tuples of the given length;
+    refuses a sum past FORMULA_WORK_LIMIT."""
     params.check_length(length)
     if length == 0:
         return 1  # the bare operand
     k, n = params.k, length // params.step  # n internal nodes
+    _check_work(length, n // k + 1)
     total = sum((-1) ** i * (n - i * k) * comb(length, i)
                 * comb(params.m * n - i * k, length)
                 for i in range(n // k + 1))

@@ -13,7 +13,8 @@ tree's preorder: walking depth-first, left to right, each internal node
 adds s to the current up-run and each leaf but the last ends the run,
 so d_i/s counts the nodes that open after leaf i-1 and before leaf i.
 to_dyck is one loop over that order and from_dyck one loop over it
-backwards, so neither has a depth limit.
+backwards, so neither has a depth limit.  A tree that from_dyck decoded
+keeps its tuple, and to_dyck gives that back in O(1) with no walk.
 
 Under the encoding a right k-rotation becomes a two-entry rewrite: one
 entry drops by K = k(m-1) and a later one grows by K.  Hence the
@@ -27,7 +28,8 @@ from typing import Iterator, Union
 
 from .errors import FormatError, InternalInvariantError, SizeError
 from .params import Params, _Record
-from .tree import Site, Tree, _arity_error, leaf, rotate_left, rotate_right
+from .tree import (Site, Tree, _arity_error, _Decoded, leaf, rotate_left,
+                   rotate_right)
 
 
 class DyckTuple(_Record):
@@ -106,8 +108,11 @@ def _entry_lists(length: int, s: int) -> Iterator[list[int]]:
 def to_dyck(t: Tree, params: Params) -> DyckTuple:
     """Encode a tree as its path tuple: walking it in preorder, each
     internal node adds m-1 to the current up-run and each leaf but the
-    last ends the run with a down-step."""
+    last ends the run with a down-step.  A tree that from_dyck decoded
+    gives back the tuple it keeps, in O(1), when the step matches."""
     m, s = params.m, params.step
+    if t._dyck is not None and t._dyck.step == s:
+        return t._dyck
     entries: list[int] = []
     run = 0
     todo = [t]
@@ -129,7 +134,9 @@ def from_dyck(d: DyckTuple, params: Params) -> Tree:
     """Rebuild the tree encoded by a valid tuple; inverse of to_dyck.
 
     Reads the preorder backwards: each leaf is pushed, and each internal
-    node takes the m subtrees on top of the stack as its children."""
+    node takes the m subtrees on top of the stack as its children.  The
+    root keeps d, so to_dyck of it does no second walk; the one-leaf
+    tree is shared and keeps nothing."""
     _check_step(d, params)
     m, s = params.m, params.step
     tip = leaf()
@@ -144,7 +151,11 @@ def from_dyck(d: DyckTuple, params: Params) -> Tree:
             stack.append(Tree(children))
     if len(stack) != 1:
         raise InternalInvariantError("path not fully consumed")
-    return stack[0]
+    root = stack[0]
+    if root.children:
+        root = _Decoded(root.children)
+        root._dyck = d
+    return root
 
 
 def enumerate_trees(params: Params, leaves: int) -> Iterator[Tree]:
@@ -186,18 +197,13 @@ def depth_to_tuple(dm, params: Params) -> DyckTuple:
     With w_j the (m-i)-weighted sum of column j over labels i, the first
     entry is (m-1) * rows[0][0] and entry j is w_j - w_{j-1} + 1.
     """
-    if dm.arity != params.m:
-        raise FormatError("depth matrix has %d rows but arity is %d"
-                          % (dm.arity, params.m))
-    m = params.m
-    n = dm.leaf_count
-    weights = [sum((m - i) * dm.rows[i - 1][j] for i in range(1, m + 1))
-               for j in range(n)]
+    weights = dm._weights(params)
+    n = len(weights)
     if n == 1:
         if weights[0] != 0:
             raise FormatError("single-leaf depth matrix must be all zero")
         return DyckTuple((), params.step)
-    entries = [(m - 1) * dm.rows[0][0]]
+    entries = [params.step * dm.rows[0][0]]
     entries.extend(weights[j] - weights[j - 1] + 1 for j in range(1, n - 1))
     try:
         return DyckTuple(entries, params.step)

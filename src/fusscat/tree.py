@@ -31,11 +31,14 @@ class Tree:
     """Immutable ordered tree; a leaf has no children.
 
     Instances are hashable and compare structurally; a tree is hashed
-    when its hash is first asked for, and _hash is None until then.
+    when its hash is first asked for, and _hash is None until then.  A
+    root that from_dyck decoded keeps its tuple in _dyck, so to_dyck
+    re-encodes it in O(1); every other tree reads None there.
     Construct through leaf() / meet() so the arity invariant is enforced.
     """
 
     __slots__ = ("children", "_hash")
+    _dyck = None  # no storage: only a _Decoded root holds a tuple
 
     def __init__(self, children: tuple["Tree", ...] = ()):
         self.children = children
@@ -103,6 +106,13 @@ class Tree:
                 todo.append(")")
                 todo.extend(reversed(node.children))
         return "Tree[%s]" % "".join(out)
+
+
+class _Decoded(Tree):
+    """A root that from_dyck decoded.  Only these roots hold a _dyck
+    slot, so the many trees built otherwise stay as small as before."""
+
+    __slots__ = ("_dyck",)
 
 
 _LEAF = Tree()
@@ -249,6 +259,14 @@ class DepthMatrix(_Record):
     @property
     def leaf_count(self) -> int:
         return len(self.rows[0])
+
+    def _weights(self, params: Params) -> list[int]:
+        """Per leaf j, the sum over labels i of (m-i) * rows[i-1][j]."""
+        if self.arity != params.m:
+            raise FormatError("depth matrix has %d rows but arity is %d"
+                              % (self.arity, params.m))
+        return [sum(i * depth for i, depth in enumerate(column[::-1]))
+                for column in zip(*self.rows)]
 
 
 def depth_matrix(t: Tree, params: Params) -> DepthMatrix:

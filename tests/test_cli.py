@@ -62,6 +62,16 @@ def test_count_brute_over_budget_exits_2_at_once(run):
                    "budget of 1000000\n")
 
 
+def test_count_past_the_formula_work_limit_exits_2_at_once(run):
+    start = time.monotonic()
+    code, out, err = run("count", "--m", "2", "--k", "1",
+                         "--leaves", "1000001")
+    assert time.monotonic() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith("error: length 1000000 is past the formula's "
+                          "work limit: ")
+
+
 def test_count_prints_more_digits_than_the_int_to_text_limit(run):
     # fuss_catalan(2, 8001) has 4,811 digits, past the default limit of
     # 4,300 that Python puts on converting an int to text since 3.11.

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import copy
 import os
+import pickle
 import subprocess
 import sys
 
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given
 
 import fusscat as fc
+from fusscat.expr import _read
 from conftest import GRID_PARAMS, comb, params_and_tree, valid_leaf_counts
 
 P32 = fc.Params(3, 2)
@@ -98,6 +101,89 @@ def test_roundtrip_tree_tuple_tree_small_exhaustive():
                 assert fc.from_dyck(fc.to_dyck(t, params), params) == t
             for d in fc.enumerate_tuples(params, leaves - 1):
                 assert fc.to_dyck(fc.from_dyck(d, params), params) == d
+
+
+def _rebuilt(t):
+    """A copy of t built node by node with Tree(children), leaves
+    included, so no node of it keeps a tuple."""
+    copies = {}
+    order = [t]
+    for node in order:  # the list grows while it is read: parents first
+        order.extend(node.children)
+    for node in reversed(order):
+        copies[id(node)] = fc.Tree(tuple(copies[id(c)] for c in node.children))
+    return copies[id(t)]
+
+
+def test_the_walk_gives_back_every_decoded_tuple_exhaustive():
+    # The round trips above return the tuple from_dyck kept; a copy built
+    # bottom-up keeps none, so to_dyck of it runs the walk.
+    for m in (2, 3, 4):
+        params = fc.Params(m, 1)
+        for leaves in range(1, 11, m - 1):
+            for d in fc.enumerate_tuples(params, leaves - 1):
+                t = _rebuilt(fc.from_dyck(d, params))
+                assert t._dyck is None
+                assert fc.to_dyck(t, params) == d
+
+
+# ------------------------------------------------------------ stored tuple
+
+def test_a_decoded_tree_gives_back_its_tuple():
+    for params in (P32, fc.Params(2, 1), fc.Params(4, 3)):
+        for d in fc.enumerate_tuples(params, 3 * params.step):
+            assert fc.to_dyck(fc.from_dyck(d, params), params) is d
+    d = tuple_of((2, 0, 2, 0), P32)
+    assert fc.to_dyck(fc.from_dyck(d, P32), fc.Params(3, 1)) is d
+
+
+@pytest.mark.parametrize("text", ["a", "a*b*c", "(a b c) d e", "a (b c d) e",
+                                  "(a b c d e) f g", "a b (c d (e f g))"])
+def test_a_parsed_tree_encodes_as_the_text_reader(text):
+    tree = fc.parse(text, P32)
+    assert fc.to_dyck(tree, P32) == _read(text, P32)
+
+
+def test_a_step_mismatch_still_walks_and_raises():
+    t = fc.from_dyck(tuple_of((2, 0, 2, 0), P32), P32)
+    with pytest.raises(fc.ArityError, match="^tree contains a node with 3 "
+                       "children, expected 2$"):
+        fc.to_dyck(t, fc.Params(2, 1))
+
+
+def test_the_shared_leaf_keeps_no_tuple():
+    for s in (1, 2):
+        assert fc.from_dyck(fc.DyckTuple((), s), fc.Params(s + 1, 1)) \
+            is fc.leaf()
+    assert fc.leaf()._dyck is None
+    for s in (1, 2, 3):
+        d = fc.to_dyck(fc.leaf(), fc.Params(s + 1, 2))
+        assert (d.entries, d.step) == ((), s)
+
+
+def test_built_and_rotated_trees_keep_no_tuple():
+    p2 = fc.Params(2, 1)
+    decoded = fc.from_dyck(tuple_of((2, 0), p2), p2)
+    assert fc.meet([decoded, fc.leaf()], p2)._dyck is None
+    assert fc.to_dyck(fc.meet([decoded, fc.leaf()], p2), p2).entries == \
+        (3, 0, 0)
+    right = fc.rotate_right(decoded, (), 1, p2)
+    left = fc.rotate_left(right, (), 1, p2)
+    assert (right._dyck, left._dyck) == (None, None)
+    assert fc.to_dyck(right, p2).entries == (1, 1)
+    assert fc.to_dyck(left, p2).entries == (2, 0)
+    for report in fc.enumerate_classes(P32, 7):
+        assert all(t._dyck is None for t in report.members)
+
+
+def test_copies_of_a_decoded_tree_encode_alike():
+    d = tuple_of((4, 0, 2, 0, 0, 0), P32)
+    t = fc.from_dyck(d, P32)
+    for other in (copy.copy(t), copy.deepcopy(t),
+                  pickle.loads(pickle.dumps(t))):
+        assert other == t
+        assert fc.to_dyck(other, P32) == d
+        assert fc.to_dyck(_rebuilt(other), P32) == d
 
 
 # ----------------------------------------------------------- depth to tuple
