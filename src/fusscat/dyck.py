@@ -17,7 +17,8 @@ backwards, so neither has a depth limit.  A tree that from_dyck decoded
 keeps its tuple, and to_dyck gives that back in O(1) with no walk.
 
 Under the encoding a right k-rotation becomes a two-entry rewrite: one
-entry drops by K = k(m-1) and a later one grows by K.  Hence the
+entry drops by K = k(m-1) and a later one grows by K; rotation_sites and
+compress read these rewrites off the tuple and build no tree.  Hence the
 residues mod K of d2..d_L classify trees up to k-rotations, and each
 class has exactly one tuple whose entries after the first are all < K.
 """
@@ -26,10 +27,9 @@ from __future__ import annotations
 
 from typing import Iterator, Union
 
-from .errors import FormatError, InternalInvariantError, SizeError
+from .errors import FormatError, InternalInvariantError, SiteError, SizeError
 from .params import Params, _Record
-from .tree import (Site, Tree, _arity_error, _Decoded, leaf, rotate_left,
-                   rotate_right)
+from .tree import Site, Tree, _arity_error, _Decoded, leaf
 
 
 class DyckTuple(_Record):
@@ -306,43 +306,54 @@ def _address(up: list[tuple[int, int]], node: int) -> tuple[int, ...]:
     return tuple(address[::-1])
 
 
-def _moves(entries: tuple[int, ...], params: Params, direction: str) -> list:
-    """The moves of one direction from _move_table, each as (address,
-    position, lo, hi)."""
-    if direction not in ("right", "left"):
-        raise ValueError("direction must be 'right' or 'left', got %r"
-                         % (direction,))
-    right, left, up = _move_table(entries, params)
-    return [(_address(up, node), position, lo, hi) for node, position, lo, hi
-            in (right if direction == "right" else left)]
-
-
 def rotation_sites(t: Tree, params: Params, direction: str = "right") -> list[Site]:
     """All (address, j) pairs where a k-rotation in the given direction
     applies, ordered by address (lexicographic) then j.
 
     Right rotation needs child j to head a first-child chain of at least
     k internal nodes; left rotation needs the same of child j+1."""
-    return [(address, position) for address, position, _, _
-            in _moves(to_dyck(t, params).entries, params, direction)]
+    entries = to_dyck(t, params).entries
+    if direction not in ("right", "left"):
+        raise ValueError("direction must be 'right' or 'left', got %r"
+                         % (direction,))
+    right, left, up = _move_table(entries, params)
+    return [(_address(up, node), position) for node, position, _, _
+            in (right if direction == "right" else left)]
 
 
 def compress(d: DyckTuple, site: Site, params: Params,
              direction: str = "right") -> DyckTuple:
-    """Image of a k-rotation under the path encoding.
-
-    Conjugates through the tree: decode, rotate at (address, position),
-    re-encode.  The result differs from d in exactly two entries, by
-    -K at the earlier one and +K at the later one for direction
-    "right" (the reverse for "left").
-    """
+    """Image of a k-rotation under the path encoding: the move's two-entry
+    edit from _move_table, -K at the earlier entry and +K at the later one
+    for direction "right" (the reverse for "left").  Builds no tree; a
+    site where the tree rotation fails raises the same SiteError."""
     if direction not in ("right", "left"):
         raise ValueError("direction must be 'right' or 'left', got %r"
                          % (direction,))
     address, position = site
-    t = from_dyck(d, params)
-    rotate = rotate_right if direction == "right" else rotate_left
-    return to_dyck(rotate(t, address, position, params), params)
+    _check_step(d, params)
+    m = params.m
+    right, left, up = _move_table(d.entries, params)
+    nodes = {pair: node for node, pair in enumerate(up)}  # (parent, index)
+    node = 0 if d.entries else None  # None: a leaf
+    for index in address:
+        if node is None or not 1 <= index <= m:
+            raise SiteError("address %r does not resolve" % (address,))
+        node = nodes.get((node, index))
+    if node is None:
+        raise SiteError("no %d-ary node at address %r" % (m, address))
+    if not 1 <= position <= m - 1:
+        raise SiteError("child position must be in [1, %d], got %d"
+                        % (m - 1, position))
+    shift = params.modulus if direction == "right" else -params.modulus
+    for v, j, lo, hi in (right if direction == "right" else left):
+        if v == node and j == position:
+            entries = list(d.entries)
+            entries[lo] -= shift
+            entries[hi] += shift
+            return DyckTuple(tuple(entries), d.step)
+    raise SiteError("child %d at %r has no chain of %d internal nodes"
+                    % (position + (direction == "left"), address, params.k))
 
 
 def is_minimal(d: DyckTuple, params: Params) -> bool:

@@ -355,13 +355,12 @@ def test_enumerate_classes_traces_lead_to_the_representative():
 
 def test_traced_classes_make_no_tree_rotation(monkeypatch):
     # The closure edits tuples; a call into the tree rotation would fail.
-    import fusscat.dyck
     import fusscat.tree
 
     def refuse(*args):
         raise AssertionError("enumerate_classes rotated a tree")
 
-    for module in (fc, fusscat.tree, fusscat.dyck):
+    for module in (fc, fusscat.tree):
         monkeypatch.setattr(module, "rotate_right", refuse)
         monkeypatch.setattr(module, "rotate_left", refuse)
     reports = fc.enumerate_classes(P32, 7, with_traces=True)

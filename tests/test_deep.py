@@ -180,6 +180,28 @@ def test_rotation_sites_on_deep_combs(budget):
         ((9,) * depth, 8) for depth in range(nodes - 1)]
 
 
+def test_compress_on_a_1e5_leaf_comb(budget):
+    # The left comb's tuple is (L, 0, .., 0).  The right move at depth i
+    # takes K from the first entry and gives it to the leaf where child 2
+    # of the chain's k-th node begins, after its (nodes - i - k - 1) * s + 1
+    # leaves; the tree rotation must agree.
+    for params in (fc.Params(2, 1), fc.Params(3, 2)):
+        s, modulus = params.step, params.modulus
+        nodes = (OPERANDS - 1) // s
+        length = nodes * s
+        d = fc.DyckTuple((length,) + (0,) * (length - 1), s)
+        t = comb(params, length + 1)
+        for depth in (0, nodes - params.k - 1):  # the root, the deepest site
+            site = ((1,) * depth, 1)
+            turned = fc.compress(d, site, params, "right")
+            hi = (nodes - depth - params.k - 1) * s + 1
+            assert turned.entries == ((length - modulus,) + (0,) * (hi - 1)
+                                      + (modulus,) + (0,) * (length - hi - 1))
+            assert turned == fc.to_dyck(fc.rotate_right(t, *site, params),
+                                        params)
+            assert fc.compress(turned, site, params, "left") == d
+
+
 def test_leaf_count_of_a_1e5_leaf_comb(budget):
     for params in (fc.Params(2, 1), fc.Params(3, 1)):
         leaves = 1 + (OPERANDS - 1) // params.step * params.step

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import os
 import pickle
 import subprocess
@@ -347,24 +348,97 @@ def test_rotation_sites_are_the_sites_rotate_accepts():
                         == sorted(accepted)
 
 
-def test_each_move_is_the_two_entry_edit_of_its_rotation():
-    from fusscat.dyck import _moves
+def _edits(d, params):
+    """(direction, site, edited entries) of every move _move_table lists."""
+    from fusscat.dyck import _address, _move_table
 
+    right, left, up = _move_table(d.entries, params)
+    for direction, moves, shift in (("right", right, params.modulus),
+                                    ("left", left, -params.modulus)):
+        for node, j, lo, hi in moves:
+            edited = list(d.entries)
+            edited[lo] -= shift
+            edited[hi] += shift
+            yield direction, (_address(up, node), j), tuple(edited)
+
+
+def test_each_move_is_the_two_entry_edit_of_its_rotation():
     for params in GRID_PARAMS:
         for length in range(0, 10, params.step):
             for d in fc.enumerate_tuples(params, length):
                 t = fc.from_dyck(d, params)
-                for direction, rotate, shift in (
-                        ("right", fc.rotate_right, params.modulus),
-                        ("left", fc.rotate_left, -params.modulus)):
-                    for address, j, lo, hi in _moves(d.entries, params,
-                                                     direction):
-                        edited = list(d.entries)
-                        edited[lo] -= shift
-                        edited[hi] += shift
-                        turned = rotate(t, address, j, params)
-                        assert tuple(edited) == \
-                            fc.to_dyck(turned, params).entries
+                for direction, (address, j), edited in _edits(d, params):
+                    rotate = (fc.rotate_right if direction == "right"
+                              else fc.rotate_left)
+                    turned = rotate(t, address, j, params)
+                    assert edited == fc.to_dyck(turned, params).entries
+
+
+def test_compress_builds_no_tree(monkeypatch):
+    import fusscat.dyck
+    import fusscat.tree
+
+    def refuse(*args):
+        raise AssertionError("compress built or rotated a tree")
+
+    monkeypatch.setattr(fusscat.tree.Tree, "__init__", refuse)
+    for name in ("rotate_right", "rotate_left", "_rotate"):
+        monkeypatch.setattr(fusscat.tree, name, refuse)
+    monkeypatch.setattr(fusscat.dyck, "from_dyck", refuse)
+    moves = 0
+    for params in GRID_PARAMS:  # P32 among them
+        for d in fc.enumerate_tuples(params, 6):  # 7 leaves
+            for direction, site, edited in _edits(d, params):
+                turned = fc.compress(d, site, params, direction)
+                assert turned.entries == edited
+                moves += 1
+    assert moves == 1014
+
+
+def _compress_calls(top):
+    """The pinned grid: every tuple with m 2..4, k 1..3 and length below
+    top; every internal address (the one-leaf tree's root too), its
+    children at indices 0..m+1 and its grandchildren; positions 0..m;
+    directions right, left and the unknown up."""
+    for m in (2, 3, 4):
+        for k in (1, 2, 3):
+            params = fc.Params(m, k)
+            for length in range(0, top, params.step):
+                for d in fc.enumerate_tuples(params, length):
+                    addresses = set()
+                    for a in list(_internal_addresses(
+                            fc.from_dyck(d, params))) or [()]:
+                        addresses.add(a)
+                        addresses.update(a + (i,) for i in range(m + 2))
+                        addresses.update(a + (i, j) for i in range(1, m + 1)
+                                         for j in range(1, m + 1))
+                    for address in sorted(addresses):
+                        for position in range(m + 1):
+                            for direction in ("right", "left", "up"):
+                                yield d, (address, position), params, direction
+
+
+def _compress_digest(top):
+    """SHA-256 over the repr or the error text of every call of the grid."""
+    digest = hashlib.sha256()
+    calls = 0
+    for d, site, params, direction in _compress_calls(top):
+        try:
+            out = repr(fc.compress(d, site, params, direction))
+        except (fc.SiteError, ValueError) as exc:
+            out = "%s: %s" % (type(exc).__name__, exc)
+        digest.update(out.encode() + b"\n")
+        calls += 1
+    return calls, digest.hexdigest()
+
+
+# _compress_digest(7) as the tree route (decode, rotate, encode) gave it.
+_COMPRESS_DIGEST = (
+    220077, "6082d2b33cf33137ecc82e02e6472530f1e3b57245a375688136f92afff8827f")
+
+
+def test_compress_output_and_errors_are_frozen():
+    assert _compress_digest(7) == _COMPRESS_DIGEST
 
 
 # ------------------------------------------------- minimality and signatures

@@ -249,6 +249,10 @@ def test_rotation_sites_rejects_unknown_direction():
 @given(params_and_tree(max_leaves=25))
 def test_random_rotations_invert(pt):
     params, t = pt
+    d = fc.to_dyck(t, params)
     for site in fc.rotation_sites(t, params, "right")[:3]:
         u = fc.rotate_right(t, site[0], site[1], params)
         assert fc.rotate_left(u, site[0], site[1], params) == t
+        du = fc.compress(d, site, params, "right")
+        assert du == fc.to_dyck(u, params)
+        assert fc.compress(du, site, params, "left") == d
