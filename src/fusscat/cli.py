@@ -18,7 +18,7 @@ import sys
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .errors import BudgetError, FusscatError
+from .errors import BudgetError, DomainError, FusscatError
 from .params import Params
 
 if TYPE_CHECKING:
@@ -26,11 +26,12 @@ if TYPE_CHECKING:
 
 
 def _int_range(text: str) -> range:
-    """Range syntax: "3" or "2..4" (inclusive)."""
+    """Range syntax: "3" or "2..4" (inclusive); an empty one is refused."""
     lo, sep, hi = text.partition("..")
-    if sep:
-        return range(int(lo), int(hi) + 1)
-    return range(int(lo), int(lo) + 1)
+    span = range(int(lo), int(hi if sep else lo) + 1)
+    if not span:
+        raise argparse.ArgumentTypeError("empty range %s (LO > HI)" % text)
+    return span
 
 
 def _operand(text: str) -> str:
@@ -141,6 +142,10 @@ def _cmd_table(args) -> int:
 def _cmd_verify(args) -> int:
     from . import counting
 
+    shortest = args.m_range[0] - 1  # each m checks lengths from m-1
+    if args.max_length < shortest:
+        raise DomainError("--max-length %d leaves no cell to check; the "
+                          "shortest is %d" % (args.max_length, shortest))
     mismatches = 0
     cells = 0
     for m in args.m_range:

@@ -12,9 +12,10 @@ separated by single down-steps.  Read another way, the tuple is the
 tree's preorder: walking depth-first, left to right, each internal node
 adds s to the current up-run and each leaf but the last ends the run,
 so d_i/s counts the nodes that open after leaf i-1 and before leaf i.
-to_dyck is one loop over that order and from_dyck one loop over it
-backwards, so neither has a depth limit.  A tree that from_dyck decoded
-keeps its tuple, and to_dyck gives that back in O(1) with no walk.
+to_dyck is one loop over that order and decoding one loop over it
+backwards, so neither has a depth limit.  Decoding is lazy: from_dyck's
+root keeps its tuple, which to_dyck and unparse read in O(1), and
+builds its children when they are first read.
 
 Under the encoding a right k-rotation becomes a two-entry rewrite: one
 entry drops by K = k(m-1) and a later one grows by K; rotation_sites and
@@ -131,31 +132,40 @@ def to_dyck(t: Tree, params: Params) -> DyckTuple:
 
 
 def from_dyck(d: DyckTuple, params: Params) -> Tree:
-    """Rebuild the tree encoded by a valid tuple; inverse of to_dyck.
+    """The tree encoded by a valid tuple; inverse of to_dyck.
 
-    Reads the preorder backwards: each leaf is pushed, and each internal
-    node takes the m subtrees on top of the stack as its children.  The
-    root keeps d, so to_dyck of it does no second walk; the one-leaf
-    tree is shared and keeps nothing."""
+    Decoding is lazy: the root keeps d and builds its children on first
+    read, so to_dyck and unparse of it build nothing.  The call checks at
+    once, in integers, that _children would consume the whole path; the
+    one-leaf tree is shared and keeps nothing."""
     _check_step(d, params)
-    m, s = params.m, params.step
+    if not d.entries:
+        return leaf()
+    s = d.step
+    size = 1  # the stack of subtrees _children would hold
+    for up in reversed(d.entries):
+        size += 1 - up // s * s
+        if size < 1:
+            break
+    if size != 1 or min(d.entries) < 0:
+        raise InternalInvariantError("path not fully consumed")
+    return _Decoded(d)
+
+
+def _children(d: DyckTuple) -> tuple[Tree, ...]:
+    """The root's children of the tree that a checked tuple encodes, read
+    off the preorder backwards: each leaf is pushed, and each internal
+    node takes the m subtrees on top of the stack as its children."""
+    m, s = d.step + 1, d.step
     tip = leaf()
     stack = [tip]  # the last leaf: no node opens between it and the one before
     for up in reversed(d.entries):
         stack.append(tip)
         for _ in range(up // s):  # the nodes that open just before this leaf
-            if len(stack) < m:
-                raise InternalInvariantError("path not fully consumed")
             children = tuple(stack[:-m - 1:-1])
             del stack[-m:]
             stack.append(Tree(children))
-    if len(stack) != 1:
-        raise InternalInvariantError("path not fully consumed")
-    root = stack[0]
-    if root.children:
-        root = _Decoded(root.children)
-        root._dyck = d
-    return root
+    return stack[0].children
 
 
 def enumerate_trees(params: Params, leaves: int) -> Iterator[Tree]:

@@ -131,8 +131,9 @@ def unparse(t: Tree, style: str = "minimal") -> str:
     """Render a tree with leaves named x1..xN left to right.
 
     Both styles parse back to the same tree; the minimal style is
-    injective on trees of a fixed leaf count."""
+    injective on trees of a fixed leaf count.  A tree that from_dyck
+    decoded is printed from the tuple it keeps, with no walk."""
     if style not in ("minimal", "full"):
         raise ValueError("style must be 'minimal' or 'full', got %r" % (style,))
-    m = max(2, len(t.children))
+    m = max(2, len(t.children)) if t._dyck is None else t._dyck.step + 1
     return _write(to_dyck(t, Params(m, 1)).entries, m, style)

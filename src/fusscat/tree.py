@@ -32,8 +32,9 @@ class Tree:
 
     Instances are hashable and compare structurally; a tree is hashed
     when its hash is first asked for, and _hash is None until then.  A
-    root that from_dyck decoded keeps its tuple in _dyck, so to_dyck
-    re-encodes it in O(1); every other tree reads None there.
+    root that from_dyck decoded keeps its tuple in _dyck, which to_dyck
+    and unparse read in O(1), and builds its children on first read;
+    every other tree reads None there.
     Construct through leaf() / meet() so the arity invariant is enforced.
     """
 
@@ -109,10 +110,27 @@ class Tree:
 
 
 class _Decoded(Tree):
-    """A root that from_dyck decoded.  Only these roots hold a _dyck
-    slot, so the many trees built otherwise stay as small as before."""
+    """A root that from_dyck decoded.  Its children slot starts unset, so
+    the first read falls to __getattr__, which fills it from the tuple.
+    Only these roots hold a _dyck slot, so other trees stay small."""
 
     __slots__ = ("_dyck",)
+
+    def __init__(self, d):
+        self._dyck, self._hash = d, None
+
+    def __getattr__(self, name):
+        if name != "children":  # an unset _dyck too, as in unpickling
+            raise AttributeError(name)
+        from .dyck import _children
+
+        self.children = _children(self._dyck)
+        return self.children
+
+    @property
+    def leaf_count(self) -> int:
+        """Number of leaves, one more than the tuple's length: no walk."""
+        return len(self._dyck) + 1
 
 
 _LEAF = Tree()

@@ -314,6 +314,15 @@ def test_table_matches_library_and_is_deterministic(run):
         assert int(count) == expected
 
 
+@pytest.mark.parametrize("flag", ["--m-range", "--k-range", "--length-range"])
+def test_table_refuses_an_empty_range(run, flag):
+    ranges = {"--m-range": "2..3", "--k-range": "1", "--length-range": "1..3"}
+    ranges[flag] = "4..2"
+    code, out, err = run("table", *(x for pair in ranges.items() for x in pair))
+    assert (code, out) == (2, "")
+    assert "argument %s: empty range 4..2" % flag in err
+
+
 # -------------------------------------------------------------------- verify
 
 def test_verify_clean_grid(run):
@@ -369,6 +378,34 @@ def test_verify_reports_mismatches(run, monkeypatch):
     lines = out.splitlines()
     assert all(line.endswith(" MISMATCH") for line in lines[:-1])
     assert lines[-1] == "checked 3 cells, 3 mismatches"
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--m-range", "3..2", "--max-length", "4"), "empty range 3..2"),
+    (("--k-range", "2..1", "--max-length", "4"), "empty range 2..1"),
+    (("--max-length=-2",), "--max-length -2 leaves no cell to check; "
+                           "the shortest is 1"),
+    (("--max-length", "-1"), "--max-length -1 leaves no cell"),
+    (("--m-range", "3..4", "--max-length", "1"), "--max-length 1 leaves "
+                                                 "no cell to check; the "
+                                                 "shortest is 2"),
+])
+def test_verify_refuses_an_empty_grid(run, argv, message):
+    ranges = {"--m-range": "2", "--k-range": "1"}
+    for flag in argv[:1]:
+        ranges.pop(flag, None)
+    code, out, err = run("verify", *argv,
+                         *(x for pair in ranges.items() for x in pair))
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+def test_verify_checks_a_grid_that_only_its_least_arity_fills(run):
+    code, out, _ = run("verify", "--m-range", "2..3", "--k-range", "1",
+                       "--max-length", "1")
+    assert code == 0
+    assert out.splitlines() == ["m=2 k=1 length=1 formula=1 brute=1 ok",
+                                "checked 1 cells, 0 mismatches"]
 
 
 # ------------------------------------------------------------------- general

@@ -218,6 +218,19 @@ def test_hash_of_a_1e5_leaf_comb(budget):
             assert hash(build(params, leaves)) == hash(t)
 
 
+@pytest.mark.parametrize("shape,eager", [("flat", comb),
+                                         ("right_nested", _right_comb)])
+def test_a_1e5_leaf_decoded_root_fills_hashes_and_compares(shape, eager,
+                                                           budget):
+    d = fc.DyckTuple(_shape(shape)[1], P.step)
+    built = eager(P, OPERANDS)
+    t = fc.from_dyck(d, P)
+    assert len(t.children) == P.m
+    assert hash(t) == hash(t.children) == hash(built)
+    assert t == built and built == fc.from_dyck(d, P)
+    assert fc.from_dyck(d, P) == t
+
+
 def test_first_tuple_of_length_5000(budget):
     assert next(fc.enumerate_tuples(fc.Params(2, 1), 5000)).entries == \
         (1,) * 5000

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given
 
 import fusscat as fc
-from fusscat.expr import _read
+from fusscat.dyck import _coded_trees
+from fusscat.expr import _read, _write
 from conftest import GRID_PARAMS, comb, params_and_tree, valid_leaf_counts
 
 P32 = fc.Params(3, 2)
@@ -93,6 +94,20 @@ def test_from_dyck_invariant_checks_survive_python_O():
                               timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.split() == ["raised", str(optimize)]
+
+
+@pytest.mark.parametrize("entries", [(0, 1), (0, 2), (1, 0, 2), (2, 0, 0),
+                                     (3, -1, 1)])
+def test_from_dyck_refuses_a_forged_path_at_the_call(entries):
+    # Each dips below the axis, fails to close or has a negative entry,
+    # so the decoder's stack would run short, end with more than the root
+    # on it, or build a node with too few children.
+    d = object.__new__(fc.DyckTuple)  # bypasses the validity checks
+    object.__setattr__(d, "entries", entries)
+    object.__setattr__(d, "step", 1)
+    with pytest.raises(fc.InternalInvariantError,
+                       match="^path not fully consumed$"):
+        fc.from_dyck(d, fc.Params(2, 1))
 
 
 def test_roundtrip_tree_tuple_tree_small_exhaustive():
@@ -185,6 +200,87 @@ def test_copies_of_a_decoded_tree_encode_alike():
         assert other == t
         assert fc.to_dyck(other, P32) == d
         assert fc.to_dyck(_rebuilt(other), P32) == d
+
+
+# ------------------------------------------------------------ lazy decoding
+
+def test_a_lazy_root_equals_the_eager_tree_exhaustive():
+    # _coded_trees builds every tree bottom-up with Tree(children), apart
+    # from the decoder.  Each check reads a fresh root, so every entry
+    # point meets one whose children were never read.
+    for params in GRID_PARAMS[::3]:
+        for leaves in valid_leaf_counts(params, 8):
+            for entries, eager in _coded_trees(params, leaves - 1):
+                d = tuple_of(entries, params)
+
+                def lazy():
+                    return fc.from_dyck(d, params)
+
+                assert lazy().children == eager.children
+                assert lazy().is_leaf == eager.is_leaf
+                assert lazy().leaf_count == eager.leaf_count == leaves
+                assert repr(lazy()) == repr(eager)
+                assert fc.depth_matrix(lazy(), params) == \
+                    fc.depth_matrix(eager, params)
+                assert lazy() == eager and eager == lazy()
+                assert hash(lazy()) == hash(eager)
+                for direction, rotate in (("right", fc.rotate_right),
+                                          ("left", fc.rotate_left)):
+                    sites = fc.rotation_sites(eager, params, direction)
+                    assert fc.rotation_sites(lazy(), params, direction) \
+                        == sites
+                    for site in sites:
+                        assert rotate(lazy(), *site, params) == \
+                            rotate(eager, *site, params)
+                for other in (copy.copy(lazy()), copy.deepcopy(lazy()),
+                              pickle.loads(pickle.dumps(lazy()))):
+                    assert other == eager
+                    assert fc.to_dyck(other, params) == d
+
+
+def test_a_lazy_root_fills_its_children_once():
+    d = tuple_of((4, 0, 2, 0, 0, 0), P32)
+    t = fc.from_dyck(d, P32)
+    with pytest.raises(AttributeError):
+        object.__getattribute__(t, "children")  # the slot starts unset
+    assert t.leaf_count == 7
+    with pytest.raises(AttributeError):
+        object.__getattribute__(t, "children")  # counting built nothing
+    children = t.children
+    assert object.__getattribute__(t, "children") is children is t.children
+    assert fc.to_dyck(_rebuilt(t), P32) == d
+
+
+def test_the_equiv_and_canon_path_builds_no_tree(monkeypatch):
+    # parse twice, encode, sign, canonicalize, decode and print: what one
+    # equivalence-plus-canonical-form query does through the library.
+    def no_trees(self, children=()):
+        raise AssertionError("a Tree was built")
+
+    cases = []
+    for params in (fc.Params(2, 1), P32, fc.Params(4, 3)):
+        tuples = list(fc.enumerate_tuples(params, 6 * params.step))
+        for da, db in zip(tuples[::7], tuples[3::11]):
+            cases.append((params, _write(da.entries, params.m, "full"),
+                          _write(db.entries, params.m, "minimal")))
+    monkeypatch.setattr(fc.Tree, "__init__", no_trees)
+    roots = []
+    for params, left, right in cases:
+        ta, tb = fc.parse(left, params), fc.parse(right, params)
+        da, db = fc.to_dyck(ta, params), fc.to_dyck(tb, params)
+        same = fc.signature(da, params) == fc.signature(db, params)
+        canon = fc.canonicalize(da, params)
+        assert same == (canon == fc.canonicalize(db, params))
+        root = fc.from_dyck(canon, params)
+        for style in ("minimal", "full"):
+            assert _read(fc.unparse(root, style), params) == canon
+        roots.append((params, ((ta, da), (root, canon))))
+    monkeypatch.undo()
+    for params, decoded in roots:
+        for t, d in decoded:
+            assert t.children == _rebuilt(t).children
+            assert fc.to_dyck(_rebuilt(t), params) == d
+            assert fc.unparse(_rebuilt(t)) == fc.unparse(t)
 
 
 # ----------------------------------------------------------- depth to tuple
