@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import hashlib
+import random
+import re
+import sys
 
 import pytest
 from hypothesis import given
 
 import fusscat as fc
+from fusscat.expr import _read
 from conftest import GRID_PARAMS, comb, params_and_tree, valid_leaf_counts
 
 P32 = fc.Params(3, 2)
@@ -190,3 +194,83 @@ def test_unparse_text_is_frozen(m, style):
         for t in fc.enumerate_trees(params, leaves):
             digest.update(fc.unparse(t, style).encode() + b"\n")
     assert digest.hexdigest() == _TEXT_DIGESTS[m, style]
+
+
+# ------------------------------------------------------------ error corpus
+
+_EDIT_CHARS = "*()$1\u00e9 \t\x1c\u2028\u00a0"
+
+
+def _random_entries(rng: random.Random, m: int, nodes: int) -> tuple:
+    """A random path tuple with the given node count: a shuffled preorder
+    word (+m-1 per node, -1 per leaf) started after its first lowest
+    point (cycle lemma), then read as up-runs between leaves."""
+    word = [True] * nodes + [False] * (nodes * (m - 1) + 1)
+    rng.shuffle(word)
+    level = low = cut = 0
+    for i, node in enumerate(word):
+        level += m - 1 if node else -1
+        if level < low:
+            low, cut = level, i + 1
+    entries, run = [], 0
+    for node in word[cut:] + word[:cut]:
+        if node:
+            run += m - 1
+        else:
+            entries.append(run)
+            run = 0
+    return tuple(entries[:-1])  # the last leaf closes no run
+
+
+def _error_corpus():
+    """(text, params) pairs: the text of a random tree with a quarter of
+    its '*' written as spaces, then one random edit."""
+    rng = random.Random(20201015)
+    for _ in range(2000):
+        m = rng.randint(2, 4)
+        params = fc.Params(m, 1)
+        d = fc.DyckTuple(_random_entries(rng, m, rng.randint(0, 8)), m - 1)
+        text = fc.unparse(fc.from_dyck(d, params),
+                          rng.choice(("minimal", "full")))
+        text = "".join(" " if c == "*" and rng.random() < 0.25 else c
+                       for c in text)
+        edit = rng.choice(("insert", "delete", "replace", "drop *"))
+        at = rng.randrange(len(text) + (edit == "insert"))
+        if edit == "insert":
+            text = text[:at] + rng.choice(_EDIT_CHARS) + text[at:]
+        elif edit == "delete":
+            text = text[:at] + text[at + 1:]
+        elif edit == "replace":
+            text = text[:at] + rng.choice(_EDIT_CHARS) + text[at + 1:]
+        elif "*" in text:
+            at = rng.choice([i for i, c in enumerate(text) if c == "*"])
+            text = text[:at] + text[at + 1:]
+        yield text, params
+
+
+# SHA-256 over the repr of the reader's result on every text of the
+# corpus, one per line: the entries, or the error's type, message and
+# offset.  Any change to what is accepted, which error wins, its wording
+# or its offset shows here.
+_ERROR_DIGEST = \
+    "796dca37d8495d3ad76a30fe44443ed083e92a3bf089de569a0152fd01f62fac"
+
+
+def test_reader_results_on_edited_texts_are_frozen():
+    digest = hashlib.sha256()
+    for text, params in _error_corpus():
+        try:
+            result = _read(text, params).entries
+        except (fc.ParseError, fc.ArityError) as error:
+            result = (type(error).__name__, str(error), error.offset)
+        digest.update(repr(result).encode() + b"\n")
+    assert digest.hexdigest() == _ERROR_DIGEST
+
+
+def test_str_isspace_agrees_with_re_whitespace():
+    # The reader skips what str.isspace() calls whitespace; its error
+    # offsets and the bad-character pattern rely on re's \s meaning the
+    # same, on every code point.
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert [c for c in everything if c.isspace()] == \
+        re.findall(r"\s", everything)
