@@ -11,6 +11,12 @@ line uses these passes alone.  A run of P operands folds into
 (P-1)/(m-1) nodes that all open just before its first leaf, so the
 reader adds P-1 to that leaf's up-run when the run closes.
 
+The reader first turns every name into one character with one regex
+substitution, then loops once over the characters of that skeleton, in
+which each character but whitespace is one token.  A character that no
+expression may hold is reported before any other error, but the text is
+searched for one only when the read fails, as is the error's offset.
+
 unparse() names the leaves x1..xN from the left.  The "full" style
 parenthesizes every internal node below the root; the "minimal" style
 also inlines a first child whose subtree is a plain chain of leaves,
@@ -31,58 +37,77 @@ if TYPE_CHECKING:
     from .tree import Tree
 
 # A name is a non-digit word character, then word characters (Unicode
-# included).  Any other visible character is an error, reported first.
-# The empty match at \Z (not $, which also matches before a final "\n")
-# ends the last run.
-_TOKEN = re.compile(r"[^\W\d]\w*|[*()]|\Z")
+# included); the reader sees each one as the single character "a".  Any
+# other visible character is an error, and wins over every other error.
+# _TOKEN finds where an error's token starts; its empty match at \Z (not
+# $, which also matches before a final "\n") stands for the end.
+_NAME = re.compile(r"[^\W\d]\w*")
+_TOKEN = re.compile(_NAME.pattern + r"|[*()]|\Z")
 _BAD = re.compile(r"(?<!\w)\d|[^\w\s*()]")
 
 
-def _offset(text: str, index: int) -> int:
-    """Where the index-th token of text starts; index -1 is the text."""
-    return (next(islice(_TOKEN.finditer(text), index, None)).start()
-            if index >= 0 else 0)
+def _error(text: str, skeleton: str, at: int, kind: type,
+           message: str) -> Exception:
+    """The error to raise where the read stopped: the first character of
+    text that no expression may hold, if there is one, else kind(message)
+    at the token that the at-th character of the skeleton stands for
+    (at -1 is the whole text)."""
+    if bad := _BAD.search(text):
+        return ParseError("unexpected character %r" % bad.group(), bad.start())
+    if at < 0:
+        return kind(message, 0)
+    index = at - sum(map(str.isspace, skeleton[:at]))  # tokens before it
+    return kind(message, next(islice(_TOKEN.finditer(text), index,
+                                     None)).start())
 
 
 def _read(text: str, params: Params) -> DyckTuple:
-    """The path tuple of an expression, read in one scan of its tokens;
-    an error looks up its character offset only when it is raised."""
-    if bad := _BAD.search(text):
-        raise ParseError("unexpected character %r" % bad.group(), bad.start())
+    """The path tuple of an expression, read in one scan of its skeleton:
+    the text with each name turned into the one character "a", so every
+    character but whitespace is one token.  The first character that no
+    expression may hold wins over any other error; the text is searched
+    for one, and an error's offset looked up, only when the read fails."""
+    skeleton = _NAME.sub("a", text)
+    end = len(skeleton)
     ups: list[int] = []  # per leaf read: m-1 times the groups opening before it
     groups: list[tuple[int, int, int]] = []  # the enclosing runs, as below
-    start, count, first = -1, 0, 0  # '(' token, operands, first leaf of the run
+    start, count, first = -1, 0, 0  # '(' position, operands, first leaf of the run
     need = True  # an operand must come next
-    for i, tok in enumerate(_TOKEN.findall(text)):
-        if tok == "*" and not need:
-            need = True
-        elif tok == "(":
-            groups.append((start, count, first))
-            start, count, first = i, 0, len(ups)
-            need = True
-        elif tok not in ("", "*", ")"):
+    for i, c in enumerate(skeleton + ")"):  # the last ')' stands for the end
+        if c == "a":
             ups.append(0)
             count += 1
             need = False
+        elif c == "*" and not need:
+            need = True
+        elif c == "(":
+            groups.append((start, count, first))
+            start, count, first = i, 0, len(ups)
+            need = True
+        elif c not in "*)":
+            if not c.isspace():
+                raise _error(text, skeleton, i, ParseError,
+                             "unexpected character %r" % c)
         elif need:
-            raise ParseError("expected an operand", _offset(text, i))
+            raise _error(text, skeleton, i, ParseError, "expected an operand")
         else:  # the run ends
             if groups and count == 1:
-                raise ArityError(
-                    "parenthesized group needs at least two operands",
-                    _offset(text, start))
+                raise _error(text, skeleton, start, ArityError,
+                             "parenthesized group needs at least two operands")
             if not params.fits(count - 1):
-                raise ArityError(
-                    "run of %d operands cannot fold at arity %d"
-                    % (count, params.m), _offset(text, start))
+                raise _error(text, skeleton, start, ArityError,
+                             "run of %d operands cannot fold at arity %d"
+                             % (count, params.m))
             ups[first] += count - 1
             if not groups:
-                if tok:
-                    raise ParseError("unexpected %r" % tok, _offset(text, i))
+                if i < end:
+                    raise _error(text, skeleton, i, ParseError,
+                                 "unexpected ')'")
                 ups.pop()  # the last leaf closes no run
                 return DyckTuple(ups, params.step)
-            if not tok:
-                raise ParseError("unbalanced '('", _offset(text, start))
+            if i == end:
+                raise _error(text, skeleton, start, ParseError,
+                             "unbalanced '('")
             start, count, first = groups.pop()
             count += 1
 

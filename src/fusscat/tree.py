@@ -108,6 +108,18 @@ class Tree:
                 todo.extend(reversed(node.children))
         return "Tree[%s]" % "".join(out)
 
+    def __reduce__(self):
+        """Copy and pickle as the child counts in preorder, which _rebuild
+        reads back in one loop; the default protocol would recurse once
+        per level."""
+        counts = []
+        todo = [self]
+        while todo:
+            children = todo.pop().children
+            counts.append(len(children))
+            todo.extend(reversed(children))
+        return _rebuild, (tuple(counts),)
+
 
 class _Decoded(Tree):
     """A root that from_dyck decoded.  Its children slot starts unset, so
@@ -120,7 +132,7 @@ class _Decoded(Tree):
         self._dyck, self._hash = d, None
 
     def __getattr__(self, name):
-        if name != "children":  # an unset _dyck too, as in unpickling
+        if name != "children":  # such as the hooks that copy looks up
             raise AttributeError(name)
         from .dyck import _children
 
@@ -132,8 +144,26 @@ class _Decoded(Tree):
         """Number of leaves, one more than the tuple's length: no walk."""
         return len(self._dyck) + 1
 
+    def __reduce__(self):
+        """Copy and pickle as the tuple, so the children stay unbuilt."""
+        return _Decoded, (self._dyck,)
+
 
 _LEAF = Tree()
+
+
+def _rebuild(counts: tuple[int, ...]) -> Tree:
+    """The tree whose nodes have the given child counts in preorder, built
+    backwards as _children builds a decoded root's; leaves are shared."""
+    stack: list[Tree] = []
+    for count in reversed(counts):
+        if count:
+            children = tuple(stack[:-count - 1:-1])
+            del stack[-count:]
+            stack.append(Tree(children))
+        else:
+            stack.append(_LEAF)
+    return stack[0]
 
 
 def leaf() -> Tree:

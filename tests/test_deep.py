@@ -8,9 +8,11 @@ BUDGET_S seconds, which a step quadratic in the operand count cannot at
 
 from __future__ import annotations
 
+import copy
 import functools
 import io
 import json
+import pickle
 import random
 import time
 from contextlib import redirect_stdout
@@ -229,6 +231,43 @@ def test_a_1e5_leaf_decoded_root_fills_hashes_and_compares(shape, eager,
     assert hash(t) == hash(t.children) == hash(built)
     assert t == built and built == fc.from_dyck(d, P)
     assert fc.from_dyck(d, P) == t
+
+
+def _unfilled(t: fc.Tree) -> bool:
+    """Whether a decoded root's children slot is still unset."""
+    try:
+        object.__getattribute__(t, "children")
+    except AttributeError:
+        return True
+    return False
+
+
+def _copies(t: fc.Tree) -> list:
+    return [copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))]
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+def test_copies_of_a_1e5_operand_parsed_tree(shape, budget):
+    text, entries = _shape(shape)
+    t = fc.parse(text, P)
+    copies = _copies(t)
+    assert all(map(_unfilled, [t] + copies))
+    for other in copies:
+        assert fc.to_dyck(other, P).entries == entries
+        assert other == t
+    inner = t.children[-1]  # a plain tree, built by the decoder
+    assert inner._dyck is None
+    for other in _copies(inner):
+        assert other._dyck is None
+        assert other == inner
+
+
+def test_copies_of_1e5_leaf_built_combs(budget):
+    for build in (comb, _right_comb):
+        t = build(P, OPERANDS)
+        for other in _copies(t):
+            assert other == t and other is not t
+        assert fc.to_dyck(pickle.loads(pickle.dumps(t)), P) == fc.to_dyck(t, P)
 
 
 def test_first_tuple_of_length_5000(budget):
