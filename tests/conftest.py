@@ -18,6 +18,24 @@ def valid_leaf_counts(params: fc.Params, top: int) -> list[int]:
     return list(range(1, top + 1, params.step))
 
 
+def edit_once(rng, text: str, chars: str) -> str:
+    """text after one random edit: insert, delete or replace a character,
+    any new one drawn from chars, or drop a '*' (if it has one)."""
+    edit = rng.choice(("insert", "delete", "replace", "drop *"))
+    at = rng.randrange(len(text) + (edit == "insert"))
+    if edit == "insert":
+        return text[:at] + rng.choice(chars) + text[at:]
+    if edit == "delete":
+        return text[:at] + text[at + 1:]
+    if edit == "replace":
+        return text[:at] + rng.choice(chars) + text[at + 1:]
+    stars = [i for i, c in enumerate(text) if c == "*"]
+    if not stars:
+        return text
+    at = rng.choice(stars)
+    return text[:at] + text[at + 1:]
+
+
 def tree_strategy(params: fc.Params, max_leaves: int = 40):
     return st.recursive(
         st.just(fc.leaf()),

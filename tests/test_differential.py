@@ -17,6 +17,7 @@ import pytest
 
 import fusscat as fc
 from fusscat.expr import _read
+from conftest import edit_once
 
 
 def _load_reference():
@@ -58,24 +59,6 @@ def _texts(m: int, count: int, max_leaves: int):
         yield entries, _spread(rng, text)
 
 
-def _edited(rng: random.Random, text: str) -> str:
-    """text after one insert, delete or replace of a character, or with
-    one '*' dropped."""
-    edit = rng.choice(("insert", "delete", "replace", "drop *"))
-    at = rng.randrange(len(text) + (edit == "insert"))
-    if edit == "insert":
-        return text[:at] + rng.choice(_ASCII_EDITS) + text[at:]
-    if edit == "delete":
-        return text[:at] + text[at + 1:]
-    if edit == "replace":
-        return text[:at] + rng.choice(_ASCII_EDITS) + text[at + 1:]
-    stars = [i for i, c in enumerate(text) if c == "*"]
-    if not stars:
-        return text
-    at = rng.choice(stars)
-    return text[:at] + text[at + 1:]
-
-
 def _ours(text: str, params: fc.Params):
     try:
         return _read(text, params).entries
@@ -104,7 +87,7 @@ def test_edited_texts_are_refused_as_the_reference_refuses_them(m):
     rng = random.Random("differential edits:%d" % m)
     accepted = 0
     for _, text in _texts(m, 400, 25):
-        text = _edited(rng, text)
+        text = edit_once(rng, text, _ASCII_EDITS)
         ours = _ours(text, params)
         assert ours == _theirs(text, m), text
         accepted += ours is not None

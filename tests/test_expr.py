@@ -12,7 +12,8 @@ from hypothesis import given
 
 import fusscat as fc
 from fusscat.expr import _read
-from conftest import GRID_PARAMS, comb, params_and_tree, valid_leaf_counts
+from conftest import (GRID_PARAMS, comb, edit_once, params_and_tree,
+                      valid_leaf_counts)
 
 P32 = fc.Params(3, 2)
 
@@ -234,18 +235,7 @@ def _error_corpus():
                           rng.choice(("minimal", "full")))
         text = "".join(" " if c == "*" and rng.random() < 0.25 else c
                        for c in text)
-        edit = rng.choice(("insert", "delete", "replace", "drop *"))
-        at = rng.randrange(len(text) + (edit == "insert"))
-        if edit == "insert":
-            text = text[:at] + rng.choice(_EDIT_CHARS) + text[at:]
-        elif edit == "delete":
-            text = text[:at] + text[at + 1:]
-        elif edit == "replace":
-            text = text[:at] + rng.choice(_EDIT_CHARS) + text[at + 1:]
-        elif "*" in text:
-            at = rng.choice([i for i, c in enumerate(text) if c == "*"])
-            text = text[:at] + text[at + 1:]
-        yield text, params
+        yield edit_once(rng, text, _EDIT_CHARS), params
 
 
 # SHA-256 over the repr of the reader's result on every text of the
