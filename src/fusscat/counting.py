@@ -187,7 +187,7 @@ def enumerate_classes(params: Params, leaves: int, with_traces: bool = False,
     Refuses to start when the tree count exceeds the budget (argument,
     else the FUSSCAT_BUDGET environment variable, else one million).
     """
-    from .dyck import DyckTuple, _coded_trees
+    from .dyck import _coded_trees, _minimal
 
     length = leaves - 1
     params.check_length(length)
@@ -202,13 +202,7 @@ def enumerate_classes(params: Params, leaves: int, with_traces: bool = False,
 
     reports = []
     for key, members in groups.items():
-        try:
-            rep = DyckTuple((length - sum(key), *key) if length else (),
-                            params.step)
-        except FormatError as exc:
-            raise InternalInvariantError(
-                "minimal tuple of signature %r is not a valid tuple: %s"
-                % (key, exc)) from exc
+        rep = _minimal(key, length, params.step)
         reports.append(ClassReport(
             rep, len(members), tuple(t for _, t in members),
             _traces(rep.entries, [entries for entries, _ in members], params)

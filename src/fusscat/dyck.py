@@ -12,10 +12,10 @@ separated by single down-steps.  Read another way, the tuple is the
 tree's preorder: walking depth-first, left to right, each internal node
 adds s to the current up-run and each leaf but the last ends the run,
 so d_i/s counts the nodes that open after leaf i-1 and before leaf i.
-to_dyck is one loop over that order and decoding one loop over it
-backwards, so neither has a depth limit.  Decoding is lazy: from_dyck's
-root keeps its tuple, which to_dyck and unparse read in O(1), and
-builds its children when they are first read.
+to_dyck is one loop over that order, and decoding is tree._rebuild's one
+loop over its child counts backwards, so neither has a depth limit.
+Decoding is lazy: from_dyck's root keeps its tuple, which to_dyck and
+unparse read in O(1), and builds its children when they are first read.
 
 Under the encoding a right k-rotation becomes a two-entry rewrite: one
 entry drops by K = k(m-1) and a later one grows by K; rotation_sites and
@@ -26,11 +26,11 @@ class has exactly one tuple whose entries after the first are all < K.
 
 from __future__ import annotations
 
-from typing import Iterator, Union
+from typing import Iterator, Sequence, Union
 
 from .errors import FormatError, InternalInvariantError, SiteError, SizeError
 from .params import Params, _Record
-from .tree import Site, Tree, _arity_error, _Decoded, leaf
+from .tree import Site, Tree, _arity_error, _Decoded, _rebuild, leaf
 
 
 class DyckTuple(_Record):
@@ -136,13 +136,13 @@ def from_dyck(d: DyckTuple, params: Params) -> Tree:
 
     Decoding is lazy: the root keeps d and builds its children on first
     read, so to_dyck and unparse of it build nothing.  The call checks at
-    once, in integers, that _children would consume the whole path; the
+    once, in integers, that _rebuild would consume the whole path; the
     one-leaf tree is shared and keeps nothing."""
     _check_step(d, params)
     if not d.entries:
         return leaf()
     s = d.step
-    size = 1  # the stack of subtrees _children would hold
+    size = 1  # the stack of subtrees _rebuild would hold
     for up in reversed(d.entries):
         size += 1 - up // s * s
         if size < 1:
@@ -153,19 +153,16 @@ def from_dyck(d: DyckTuple, params: Params) -> Tree:
 
 
 def _children(d: DyckTuple) -> tuple[Tree, ...]:
-    """The root's children of the tree that a checked tuple encodes, read
-    off the preorder backwards: each leaf is pushed, and each internal
-    node takes the m subtrees on top of the stack as its children."""
+    """The root's children of the tree that a checked tuple encodes, built
+    by _rebuild from its preorder child counts: m per node, 0 per leaf."""
     m, s = d.step + 1, d.step
-    tip = leaf()
-    stack = [tip]  # the last leaf: no node opens between it and the one before
-    for up in reversed(d.entries):
-        stack.append(tip)
-        for _ in range(up // s):  # the nodes that open just before this leaf
-            children = tuple(stack[:-m - 1:-1])
-            del stack[-m:]
-            stack.append(Tree(children))
-    return stack[0].children
+    counts = []
+    for up in d.entries:
+        if up:  # no empty list for the many entries of 0
+            counts += [m] * (up // s)
+        counts.append(0)
+    counts.append(0)
+    return _rebuild(counts).children
 
 
 def enumerate_trees(params: Params, leaves: int) -> Iterator[Tree]:
@@ -233,17 +230,11 @@ def parse_dyck(text: str, params: Params) -> DyckTuple:
     if stripped in ("", "()"):
         return DyckTuple((), params.step)
     if set(stripped) <= {"N", "S"}:
-        entries = []
-        run = 0
-        for ch in stripped:
-            if ch == "N":
-                run += 1
-            else:
-                entries.append(run)
-                run = 0
-        if run:
-            raise FormatError("path ends with %d unmatched up-steps" % run)
-        return DyckTuple(entries, params.step)
+        *runs, rest = stripped.split("S")
+        if rest:
+            raise FormatError("path ends with %d unmatched up-steps"
+                              % len(rest))
+        return DyckTuple([len(run) for run in runs], params.step)
     if stripped.startswith("(") and stripped.endswith(")"):
         stripped = stripped[1:-1]
     try:
@@ -386,17 +377,19 @@ def canonicalize(d: DyckTuple, params: Params) -> DyckTuple:
     every entry after the first mod K and give the first entry whatever
     is left of the total."""
     _check_step(d, params)
-    length = len(d.entries)
-    if length == 0:
-        return d
-    tail = [e % params.modulus for e in d.entries[1:]]
-    first = length - sum(tail)
+    return _minimal([e % params.modulus for e in d.entries[1:]],
+                    len(d.entries), d.step)
+
+
+def _minimal(tail: Sequence[int], length: int, step: int) -> DyckTuple:
+    """The minimal tuple of the given length with tail after its first
+    entry; canonicalize and enumerate_classes build theirs here."""
     try:
-        return DyckTuple((first, *tail), d.step)
+        return DyckTuple((length - sum(tail), *tail) if length else (), step)
     except FormatError as exc:
         raise InternalInvariantError(
-            "canonical form of %r is not a valid tuple: %s"
-            % (d.entries, exc)) from exc
+            "minimal tuple of signature %r is not a valid tuple: %s"
+            % (tuple(tail), exc)) from exc
 
 
 def equivalent(a: Union[DyckTuple, Tree], b: Union[DyckTuple, Tree],

@@ -51,16 +51,18 @@ class Tree:
 
     @property
     def leaf_count(self) -> int:
-        """Number of leaves, counted by one walk over the tree."""
-        count = 0
+        """Number of leaves: the zeros among the child counts."""
+        return self._counts().count(0)
+
+    def _counts(self) -> list[int]:
+        """The child count of every node in preorder, by one walk."""
+        counts = []
         todo = [self]
         while todo:
             children = todo.pop().children
-            if children:
-                todo.extend(children)
-            else:
-                count += 1
-        return count
+            counts.append(len(children))
+            todo.extend(reversed(children))
+        return counts
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -112,13 +114,7 @@ class Tree:
         """Copy and pickle as the child counts in preorder, which _rebuild
         reads back in one loop; the default protocol would recurse once
         per level."""
-        counts = []
-        todo = [self]
-        while todo:
-            children = todo.pop().children
-            counts.append(len(children))
-            todo.extend(reversed(children))
-        return _rebuild, (tuple(counts),)
+        return _rebuild, (self._counts(),)
 
 
 class _Decoded(Tree):
@@ -152,9 +148,9 @@ class _Decoded(Tree):
 _LEAF = Tree()
 
 
-def _rebuild(counts: tuple[int, ...]) -> Tree:
-    """The tree whose nodes have the given child counts in preorder, built
-    backwards as _children builds a decoded root's; leaves are shared."""
+def _rebuild(counts: list[int]) -> Tree:
+    """The tree whose preorder child counts are given, built backwards in
+    the one loop that decoding and copying share; leaves are shared."""
     stack: list[Tree] = []
     for count in reversed(counts):
         if count:
@@ -201,23 +197,16 @@ def left_assoc_meet(operands, params: Params) -> Tree:
     return acc
 
 
-def _has_chain(t: Tree, k: int) -> bool:
-    """Whether t heads a first-child chain of at least k internal nodes."""
-    for _ in range(k):
-        if not t.children:
-            return False
-        t = t.children[0]
-    return True
-
-
-def _flatten_spine(t: Tree, levels: int) -> list[Tree]:
+def _flatten_spine(t: Tree, levels: int) -> list[Tree] | None:
     """Expand exactly `levels` first-child links of t into an operand run.
 
     Returns the 1 + levels*(m-1) operands whose left-associative fold
-    rebuilds t.  Caller guarantees the chain is long enough.
+    rebuilds t, or None where t's first-child chain is shorter.
     """
     ladder = [t]
     for _ in range(levels):
+        if not ladder[-1].children:
+            return None
         ladder.append(ladder[-1].children[0])
     operands = [ladder[levels]]
     for node in reversed(ladder[:levels]):
@@ -248,18 +237,14 @@ def _rotate(t: Tree, address: Address, position: int, params: Params,
     width = k * (m - 1)  # operands shifted by one move
     cj = node.children[position - 1]
     cnext = node.children[position]
+    ops = _flatten_spine(cj if direction == "right" else cnext, k)
+    if ops is None:
+        raise SiteError("child %d at %r has no chain of %d internal nodes"
+                        % (position + (direction == "left"), address, k))
     if direction == "right":
-        if not _has_chain(cj, k):
-            raise SiteError("child %d at %r has no chain of %d internal nodes"
-                            % (position, address, k))
-        ops = _flatten_spine(cj, k)
         new_j = ops[0]
         new_next = left_assoc_meet(ops[1:] + [cnext], params)
     else:
-        if not _has_chain(cnext, k):
-            raise SiteError("child %d at %r has no chain of %d internal nodes"
-                            % (position + 1, address, k))
-        ops = _flatten_spine(cnext, k)
         new_j = left_assoc_meet([cj] + ops[:width], params)
         new_next = ops[width]
     rebuilt = Tree(node.children[:position - 1] + (new_j, new_next)

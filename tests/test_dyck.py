@@ -6,6 +6,7 @@ import copy
 import hashlib
 import os
 import pickle
+import re
 import subprocess
 import sys
 
@@ -331,17 +332,27 @@ def test_parse_dyck_numeric_form():
     assert fc.parse_dyck("()", P32).entries == ()
 
 
-@pytest.mark.parametrize("text", [
-    "NSX",       # stray character
-    "NSN",       # trailing up-steps
-    "NNS",       # ends above the axis
-    "NSS",       # dips below the axis
-    "(2,0,x)",   # not an integer
-    "2;0",       # unreadable
-    "(1,1)",     # entries not multiples of the step
-])
+_UNREADABLE = "cannot read %r as N/S runs or as comma-separated entries"
+
+# Each malformed text with its error message, exactly.
+_PARSE_ERRORS = {
+    "NSX": _UNREADABLE % "NSX",  # stray character
+    "NSN": "path ends with 1 unmatched up-steps",  # trailing up-steps
+    "N": "path ends with 1 unmatched up-steps",  # no down-step at all
+    "NNSSN": "path ends with 1 unmatched up-steps",
+    "NNS": "path ends 1 above the axis",
+    "NSS": "entry 1 is 1, not a multiple of 2",  # a run of 1 at step 2
+    "S": "path dips below the axis after 1 down-steps",
+    "(2,0,x)": _UNREADABLE % "(2,0,x)",  # not an integer
+    "2;0": _UNREADABLE % "2;0",  # unreadable
+    "(1,1)": "entry 1 is 1, not a multiple of 2",  # not multiples of the step
+}
+
+
+@pytest.mark.parametrize("text", _PARSE_ERRORS)
 def test_parse_dyck_rejects_malformed_text(text):
-    with pytest.raises(fc.FormatError):
+    message = _PARSE_ERRORS[text]
+    with pytest.raises(fc.FormatError, match="^%s$" % re.escape(message)):
         fc.parse_dyck(text, P32)
 
 
