@@ -14,9 +14,9 @@ At L = 0 (a single operand) the count is 1.
 
 Everything here is exact integer arithmetic; the brute-force routines
 exist so the formula is never the only route to a number, and refuse to
-start over budget.  `count_minimal_brute` keeps the plain entry lists
-whose entries after the first are < K.  `enumerate_classes` builds every
-tree once, over the smaller trees it holds, so the members of its
+start over budget.  `count_minimal_brute` walks only the minimal tuples,
+tail entries below K from the last one back.  `enumerate_classes` builds
+every tree once, over the smaller trees it holds, so the members of its
 classes share their subtrees, and reads each minimal tuple off its key.
 """
 
@@ -112,16 +112,27 @@ def _check_budget(m: int, length: int, budget: Optional[int]) -> None:
 
 def count_minimal_brute(params: Params, length: int,
                         budget: Optional[int] = None) -> int:
-    """Count the minimal tuples directly, one class each: walk the entries
-    of every valid tuple as a plain list and keep those whose tail entries
-    are < K.  Refuses over budget, as enumerate_classes does."""
-    from .dyck import _entry_lists
-
+    """Count the minimal tuples, one class each, in about count * L steps:
+    walk only their tails, from the last entry back, each entry a multiple
+    of s below K, with the entries from index i on summing to at most L-i
+    (the path condition).  Refuses over budget like enumerate_classes."""
     params.check_length(length)
     _check_budget(params.m, length, budget)
-    modulus = params.modulus
-    return sum(1 for entries in _entry_lists(length, params.step)
-               if max(entries[1:], default=0) < modulus)
+    if length < 2:
+        return 1  # () or (1,): no entry after the first
+    s, top = params.step, params.modulus - params.step
+    count, todo = 0, [(length - 1, 0)]  # (index, sum of the entries after)
+    while todo:
+        i, total = todo.pop()
+        room = length - i - total  # the most entries[i] can be
+        if room > top:
+            room = top
+        if i == 1:
+            count += room // s + 1  # one complete tail per choice
+        else:
+            i -= 1
+            todo += [(i, total + e) for e in range(0, room + 1, s)]
+    return count
 
 
 class ClassReport(_Record):
@@ -153,7 +164,7 @@ def _traces(seed: tuple[int, ...], members: list[tuple[int, ...]],
     parents: dict[tuple[int, ...], Optional[tuple]] = {seed: None}
     reached = [seed]
     for d in reached:  # the list grows while it is read: breadth-first
-        right, left, up = _move_table(d, params)
+        right, left, runs = _move_table(d, params)
         for moves, back, shift in ((right, "left", modulus),
                                    (left, "right", -modulus)):
             for node, position, lo, hi in moves:
@@ -162,7 +173,7 @@ def _traces(seed: tuple[int, ...], members: list[tuple[int, ...]],
                 edited[hi] += shift
                 u = tuple(edited)
                 if u not in parents:
-                    parents[u] = (d, (back, _address(up, node), position))
+                    parents[u] = (d, (back, _address(runs, node), position))
                     reached.append(u)
     if parents.keys() != set(members):
         raise InternalInvariantError(
@@ -193,19 +204,19 @@ def enumerate_classes(params: Params, leaves: int, with_traces: bool = False,
     params.check_length(length)
     _check_budget(params.m, length, budget)
 
-    modulus = params.modulus
-    groups: dict[tuple[int, ...], list[tuple[tuple[int, ...], Tree]]] = {}
-    for entries, t in _coded_trees(params, length):
-        # The key is signature's, and the tail of the class's minimal tuple.
-        key = tuple([e % modulus for e in entries[1:]])
-        groups.setdefault(key, []).append((entries, t))
+    # All runs' residues mod K: signature's, and two that follow from them
+    residue = [e % params.modulus for e in range(length + 1)]
+    groups: dict[tuple[int, ...], list] = {}  # key: runs, tree, runs, ..
+    for runs, t in _coded_trees(params, length):
+        key = tuple([residue[e] for e in runs])
+        groups.setdefault(key, []).extend((runs, t))
 
     reports = []
-    for key, members in groups.items():
-        rep = _minimal(key, length, params.step)
+    for key, group in groups.items():
+        rep = _minimal(key[1:-1], length, params.step)
         reports.append(ClassReport(
-            rep, len(members), tuple(t for _, t in members),
-            _traces(rep.entries, [entries for entries, _ in members], params)
+            rep, len(group) // 2, tuple(group[1::2]),
+            _traces(rep.entries, [runs[:-1] for runs in group[::2]], params)
             if with_traces else None))
     reports.sort(key=lambda r: r.representative.entries)
     return reports

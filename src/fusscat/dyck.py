@@ -26,6 +26,7 @@ class has exactly one tuple whose entries after the first are all < K.
 
 from __future__ import annotations
 
+from bisect import bisect
 from typing import Iterator, Sequence, Union
 
 from .errors import FormatError, InternalInvariantError, SiteError, SizeError
@@ -173,8 +174,8 @@ def enumerate_trees(params: Params, leaves: int) -> Iterator[Tree]:
 
 def _coded_trees(params: Params,
                  length: int) -> list[tuple[tuple[int, ...], Tree]]:
-    """(entries, tree) for every tree of the given length, in the order
-    of enumerate_tuples; the caller checks the size.
+    """(runs, tree) for every tree of the given length, in the order of
+    enumerate_tuples; the caller checks the size.
 
     Builds size by size: a tree with i internal nodes is a node over m
     trees with i-1 in all, so each tree is made once and shared by every
@@ -194,8 +195,8 @@ def _coded_trees(params: Params,
         sized.append([((runs[0] + s,) + runs[1:] + r, Tree(kids + (t,)))
                       for runs, kids, used in heads
                       for r, t in sized[i - 1 - used]])
-    return [(runs[:-1], t)
-            for runs, t in sorted(sized[-1], key=lambda pair: pair[0])]
+    sized[-1].sort(key=lambda pair: pair[0])
+    return sized[-1]
 
 
 def depth_to_tuple(dm, params: Params) -> DyckTuple:
@@ -256,55 +257,62 @@ def print_dyck(d: DyckTuple, fmt: str = "tuple") -> str:
 
 def _move_table(entries: tuple[int, ...], params: Params) -> tuple:
     """Every k-rotation of the tree with these path entries, both
-    directions in one pass: (right, left, up).  A move is (node, position,
-    lo, hi): the right move takes K from entries[lo] and adds it to
-    entries[hi], the left move the reverse.  Nodes are numbered in
-    preorder from 0 at the root, and up[node] is (parent, child index);
-    preorder is address order, so each list is sorted as rotation_sites.
+    directions in one pass: (right, left, runs).  A move is (node,
+    position, lo, hi): the right move takes K from entries[lo] and adds it
+    to entries[hi], the left move the reverse.  Nodes are numbered in
+    preorder, which is address order, so each list is sorted as
+    rotation_sites.  runs lists the up-runs as (top node, parent, child
+    index of the top); a run's e/s nodes are a chain of first children.
 
-    The pass keeps the open nodes on a stack.  Where leaf j begins child
-    c >= 2 of the top node v, the left move at (v, c-1) applies if
-    entries[j] >= K, as child c then heads a chain of k nodes; for c = 2,
-    the right move at (u, p) applies if v is the k-th node of the
-    first-child chain that child p < m of u heads.  The last leaf begins
-    neither, so the pass stops before it."""
+    The pass keeps a frame per open run, the top one in locals: its first
+    leaf, top node, deepest open node v, the child v reads and the leaf
+    where that child began.  Where leaf j begins child c >= 2 of v, the
+    left move at (v, c-1) applies if entries[j] >= K, as child c then
+    heads a chain of k nodes; for c = 2, the right move at (u, p) applies
+    if v is the k-th node of the chain that child p < m of u heads: u is
+    v's k-th ancestor in its run, or the deepest node of the run below,
+    which reads a child >= 2.  The pass stops before the last leaf."""
     m, k, s, modulus = params.m, params.k, params.step, params.modulus
-    chain = [1] * (k - 1)  # child 1 read on each node from u's child to v
-    up = [(0, 0)]  # per node: (parent, child index); the root's is unused
-    node: list[int] = []  # per open node: its number
-    child: list[int] = []  # per open node: the child being read, from 1
-    start: list[int] = []  # per open node: the leaf where that child began
-    right, left = [], []
+    runs, right, left, frames = [], [], [], []
+    first = top = start = nodes = 0  # nodes: the nodes numbered so far
+    v, c = -1, m  # below the root's run, a frame with no child left to read
     for j, e in enumerate(entries):
         if j:
-            while child[-1] == m:
-                del node[-1], child[-1], start[-1]
-            c = child[-1] = child[-1] + 1
+            while c == m:  # v has read its last child: close it
+                if v == top:
+                    first, top, v, c, start = frames.pop()
+                else:  # its parent, above it in the run, reads child 1
+                    v, c, start = v - 1, 1, first
+            c += 1
             if e >= modulus:
-                left.append((node[-1], c - 1, start[-1], j))
-            if (c == 2 and len(child) > k and child[-k - 1] < m
-                    and child[-k:-1] == chain):
-                # v's ancestor u, k levels up
-                right.append((node[-k - 1], child[-k - 1], start[-1], j))
-            start[-1] = j
-        for _ in range(e // s):
-            if node:
-                up.append((node[-1], child[-1]))
-            node.append(len(up) - 1)
-            child.append(1)
-            start.append(j)
+                left.append((v, c - 1, start, j))
+            if c == 2 and v - top >= k:
+                right.append((v - k, 1, first, j))
+            elif c == 2 and v - top == k - 1 and frames[-1][3] < m:
+                right.append((frames[-1][2], frames[-1][3], first, j))
+            start = j
+        if e:
+            runs.append((nodes, v, c))
+            frames.append((first, top, v, c, start))
+            first, top, v, c, start = j, nodes, nodes + e // s - 1, 1, j
+            nodes += e // s
     right.sort()  # the pass meets a node's moves after its children's
     left.sort()
-    return right, left, up
+    return right, left, runs
 
 
-def _address(up: list[tuple[int, int]], node: int) -> tuple[int, ...]:
-    """The address of a node numbered by _move_table."""
-    address = []
-    while node:
-        node, index = up[node]
-        address.append(index)
-    return tuple(address[::-1])
+def _address(runs: list[tuple[int, int, int]], node: int) -> tuple[int, ...]:
+    """The address of a node numbered by _move_table, read off its run."""
+    address: list[int] = []  # backwards, up to the root's run
+    i = bisect(runs, (node + 1,)) - 1  # the node's run
+    while i:
+        top, parent, index = runs[i]
+        address += (1,) * (node - top) + (index,)
+        node = parent
+        if runs[i - 1][0] > node:  # the parent's run is further back
+            i = bisect(runs, (node + 1,), 0, i)
+        i -= 1
+    return (1,) * node + tuple(address[::-1])
 
 
 def rotation_sites(t: Tree, params: Params, direction: str = "right") -> list[Site]:
@@ -317,8 +325,8 @@ def rotation_sites(t: Tree, params: Params, direction: str = "right") -> list[Si
     if direction not in ("right", "left"):
         raise ValueError("direction must be 'right' or 'left', got %r"
                          % (direction,))
-    right, left, up = _move_table(entries, params)
-    return [(_address(up, node), position) for node, position, _, _
+    right, left, runs = _move_table(entries, params)
+    return [(_address(runs, node), position) for node, position, _, _
             in (right if direction == "right" else left)]
 
 
@@ -334,13 +342,16 @@ def compress(d: DyckTuple, site: Site, params: Params,
     address, position = site
     _check_step(d, params)
     m = params.m
-    right, left, up = _move_table(d.entries, params)
-    nodes = {pair: node for node, pair in enumerate(up)}  # (parent, index)
+    right, left, runs = _move_table(d.entries, params)
+    # Child 1 of a node is node + 1, or a leaf where the node ends its run
+    nodes = {(parent, index): top for top, parent, index in runs}
+    tops = {top for top, _, _ in runs} | {len(d.entries) // d.step}
     node = 0 if d.entries else None  # None: a leaf
     for index in address:
         if node is None or not 1 <= index <= m:
             raise SiteError("address %r does not resolve" % (address,))
-        node = nodes.get((node, index))
+        node = (node + 1 if index == 1 and node + 1 not in tops
+                else nodes.get((node, index)))
     if node is None:
         raise SiteError("no %d-ary node at address %r" % (m, address))
     if not 1 <= position <= m - 1:
@@ -369,16 +380,14 @@ def signature(d: DyckTuple, params: Params) -> tuple[int, ...]:
     invariant of the k-equivalence class."""
     _check_step(d, params)
     modulus = params.modulus
-    return tuple(e % modulus for e in d.entries[1:])
+    return tuple([e % modulus for e in d.entries[1:]])
 
 
 def canonicalize(d: DyckTuple, params: Params) -> DyckTuple:
     """The unique minimal tuple equivalent to d, in closed form: reduce
     every entry after the first mod K and give the first entry whatever
-    is left of the total."""
-    _check_step(d, params)
-    return _minimal([e % params.modulus for e in d.entries[1:]],
-                    len(d.entries), d.step)
+    is left of the total: signature's residues, with modulus read once."""
+    return _minimal(signature(d, params), len(d.entries), d.step)
 
 
 def _minimal(tail: Sequence[int], length: int, step: int) -> DyckTuple:

@@ -226,6 +226,29 @@ def test_count_minimal_brute_builds_no_tuple(monkeypatch):
                     == counts[length], (m, k, length)
 
 
+def test_count_minimal_brute_matches_the_ballot_dp_within_the_budget():
+    import fusscat.counting
+
+    budget = fusscat.counting.DEFAULT_BUDGET
+    for m in range(2, 6):
+        lengths = [length for length in range(0, 60, m - 1)
+                   if fc.fuss_catalan(m, length + 1) <= budget]
+        for k in range(1, 7):
+            counts = _ballot_minimal_counts(m, k, lengths[-1])
+            for length in lengths:
+                assert fc.count_minimal_brute(fc.Params(m, k), length,
+                                              budget=budget) \
+                    == counts[length], (m, k, length)
+
+
+def test_count_minimal_brute_walks_only_the_minimal_tuples():
+    # Catalan(200), about 10**117 tuples, hold one minimal tuple at k = 1;
+    # a walk over every tuple would never finish.
+    start = time.monotonic()
+    assert fc.count_minimal_brute(fc.Params(2, 1), 200, budget=10**120) == 1
+    assert time.monotonic() - start < 2.0
+
+
 def test_count_minimal_brute_budget():
     with pytest.raises(fc.BudgetError, match="^12 trees exceed the budget "
                        "of 5$"):

@@ -211,8 +211,8 @@ def test_a_lazy_root_equals_the_eager_tree_exhaustive():
     # point meets one whose children were never read.
     for params in GRID_PARAMS[::3]:
         for leaves in valid_leaf_counts(params, 8):
-            for entries, eager in _coded_trees(params, leaves - 1):
-                d = tuple_of(entries, params)
+            for runs, eager in _coded_trees(params, leaves - 1):
+                d = tuple_of(runs[:-1], params)  # runs end with a closing 0
 
                 def lazy():
                     return fc.from_dyck(d, params)
@@ -455,18 +455,30 @@ def test_rotation_sites_are_the_sites_rotate_accepts():
                         == sorted(accepted)
 
 
+def test_address_of_each_node_is_its_address_in_preorder():
+    from fusscat.dyck import _address, _move_table
+
+    for params in GRID_PARAMS:
+        for leaves in valid_leaf_counts(params, 9):
+            for t in fc.enumerate_trees(params, leaves):
+                _, _, runs = _move_table(fc.to_dyck(t, params).entries, params)
+                addresses = sorted(_internal_addresses(t))  # preorder
+                assert [_address(runs, node)
+                        for node in range(len(addresses))] == addresses
+
+
 def _edits(d, params):
     """(direction, site, edited entries) of every move _move_table lists."""
     from fusscat.dyck import _address, _move_table
 
-    right, left, up = _move_table(d.entries, params)
+    right, left, runs = _move_table(d.entries, params)
     for direction, moves, shift in (("right", right, params.modulus),
                                     ("left", left, -params.modulus)):
         for node, j, lo, hi in moves:
             edited = list(d.entries)
             edited[lo] -= shift
             edited[hi] += shift
-            yield direction, (_address(up, node), j), tuple(edited)
+            yield direction, (_address(runs, node), j), tuple(edited)
 
 
 def test_each_move_is_the_two_entry_edit_of_its_rotation():
