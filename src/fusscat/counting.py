@@ -9,7 +9,8 @@ count is one alternating sum with one exact division:
 This is the paper's sum, over the first up-run l, of the cycle fraction
 l/L times the words with that run, in closed form; for k >= n only the
 i = 0 term is left, fuss_catalan(m, L+1).  The words stay the proof
-device: `enumerate_prefixed_words` lists them for criterion 09.
+device: `enumerate_prefixed_words` lists them for criterion 09, with
+the one lexicographic walker that dyck lists path tuples with.
 At L = 0 (a single operand) the count is 1.
 
 Everything here is exact integer arithmetic; the brute-force routines
@@ -271,36 +272,18 @@ def enumerate_prefixed_words(params: Params, length: int,
                              first_run: int) -> Iterator[PrefixedWord]:
     """All words with the given leading run, `length` down-steps, and
     tail runs that are multiples of m-1 below K, in ascending
-    lexicographic order of tail."""
+    lexicographic order of tail: the lists of dyck._entry_lists whose
+    first i+1 runs hold what the later ones cannot of the rest."""
+    from .dyck import _entry_lists
+
     params.check_length(length)
     s, top = params.step, params.modulus - params.step
     if not s <= first_run <= length or first_run % s != 0:
         raise ArityError("leading run must be a multiple of %d in [%d, %d], "
                          "got %d" % (s, s, length, first_run))
-    return _prefixed_words(first_run, length, s, top)
-
-
-def _prefixed_words(first_run: int, length: int, s: int,
-                    top: int) -> Iterator[PrefixedWord]:
-    tail = [0] * length
-    rest = length - first_run  # still to place in tail[start:]
-    start = 0
-    while True:
-        # The least tail[start:] summing to rest: packed to the right.
-        for i in range(length - 1, start - 1, -1):
-            tail[i] = min(top, rest)
-            rest -= tail[i]
-        if rest:
-            return  # the tails cannot hold the whole word
-        yield PrefixedWord(first_run, tuple(tail))
-        # The successor grows the rightmost entry that can take s from
-        # the entries after it.
-        start = length - 1
-        while start >= 0 and (tail[start] == top or rest < s):
-            rest += tail[start]
-            start -= 1
-        if start < 0:
-            return
-        tail[start] += s
-        rest -= s
-        start += 1
+    rest = length - first_run
+    if rest > top * length:
+        return iter(())  # the tails cannot hold the whole word
+    floors = [rest - top * (length - 1 - i) for i in range(length)]
+    return (PrefixedWord(first_run, tuple(tail))
+            for tail in _entry_lists(floors, top, s))

@@ -31,7 +31,7 @@ from typing import Iterator, Sequence, Union
 
 from .errors import FormatError, InternalInvariantError, SiteError, SizeError
 from .params import Params, _Record
-from .tree import Site, Tree, _arity_error, _Decoded, _rebuild, leaf
+from .tree import Site, Tree, _arity_error, _Decoded, leaf
 
 
 class DyckTuple(_Record):
@@ -81,30 +81,35 @@ def enumerate_tuples(params: Params, length: int) -> Iterator[DyckTuple]:
     lexicographic order."""
     params.check_length(length)
     s = params.step
-    return (DyckTuple(entries, s) for entries in _entry_lists(length, s))
+    # The path condition: the first i+1 entries reach i+1, rounded up
+    # to a multiple of s.
+    floors = [(i // s + 1) * s for i in range(length)]
+    return (DyckTuple(entries, s) for entries in _entry_lists(floors, length, s))
 
 
-def _entry_lists(length: int, s: int) -> Iterator[list[int]]:
-    """enumerate_tuples' entries, one list edited in place between yields."""
+def _entry_lists(floors: Sequence[int], top: int,
+                 s: int) -> Iterator[list[int]]:
+    """Every list of multiples of s, each at most top, whose first i+1
+    entries sum to at least floors[i] (the last floor is the total), in
+    ascending order; one list, edited in place between yields."""
+    goal = floors[-1] if floors else 0
     entries: list[int] = []
-    total = 0
+    done = 0
     while True:
-        # Complete the tuple with the smallest entries that keep the path
-        # on or above the axis; the last one closes it.
-        for i in range(len(entries), length):
-            need = i + 1 - total
-            e = -(-need // s) * s if need > 0 else 0
+        # Complete the list with the least entries that meet the floors.
+        for i in range(len(entries), len(floors)):
+            e = floors[i] - done if floors[i] > done else 0
             entries.append(e)
-            total += e
+            done += e
         yield entries
-        # Drop the entries that cannot grow by s and still leave the path
-        # closable, then grow the last one left.
-        while entries and total + s > length:
-            total -= entries.pop()
+        # Drop the entries that cannot grow by s, then grow the last one
+        # left; the floors leave the later entries room for the rest.
+        while entries and (done + s > goal or entries[-1] + s > top):
+            done -= entries.pop()
         if not entries:
             return
         entries[-1] += s
-        total += s
+        done += s
 
 
 def to_dyck(t: Tree, params: Params) -> DyckTuple:
@@ -151,19 +156,6 @@ def from_dyck(d: DyckTuple, params: Params) -> Tree:
     if size != 1 or min(d.entries) < 0:
         raise InternalInvariantError("path not fully consumed")
     return _Decoded(d)
-
-
-def _children(d: DyckTuple) -> tuple[Tree, ...]:
-    """The root's children of the tree that a checked tuple encodes, built
-    by _rebuild from its preorder child counts: m per node, 0 per leaf."""
-    m, s = d.step + 1, d.step
-    counts = []
-    for up in d.entries:
-        if up:  # no empty list for the many entries of 0
-            counts += [m] * (up // s)
-        counts.append(0)
-    counts.append(0)
-    return _rebuild(counts).children
 
 
 def enumerate_trees(params: Params, leaves: int) -> Iterator[Tree]:
@@ -225,7 +217,8 @@ def parse_dyck(text: str, params: Params) -> DyckTuple:
 
     Run form: a word over {N, S} such as "NNSSNNSS".  Numeric form:
     comma-separated entries, optionally parenthesized, such as
-    "(2,0,2,0)".  Whitespace is ignored.
+    "(2,0,2,0)", each ASCII digits with an optional leading "-" (which
+    then fails as a negative entry).  Whitespace is ignored.
     """
     stripped = "".join(text.split())
     if stripped in ("", "()"):
@@ -238,12 +231,12 @@ def parse_dyck(text: str, params: Params) -> DyckTuple:
         return DyckTuple([len(run) for run in runs], params.step)
     if stripped.startswith("(") and stripped.endswith(")"):
         stripped = stripped[1:-1]
-    try:
-        entries = tuple(int(piece) for piece in stripped.split(","))
-    except ValueError:
+    pieces = stripped.split(",")
+    # int() alone would also read "+2", "0_2" and digits of other scripts
+    if not all(p.isascii() and p.removeprefix("-").isdigit() for p in pieces):
         raise FormatError("cannot read %r as N/S runs or as comma-separated "
-                          "entries" % (text,)) from None
-    return DyckTuple(entries, params.step)
+                          "entries" % (text,))
+    return DyckTuple(tuple(int(p) for p in pieces), params.step)
 
 
 def print_dyck(d: DyckTuple, fmt: str = "tuple") -> str:

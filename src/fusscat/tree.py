@@ -119,7 +119,8 @@ class Tree:
 
 class _Decoded(Tree):
     """A root that from_dyck decoded.  Its children slot starts unset, so
-    the first read falls to __getattr__, which fills it from the tuple.
+    the first read falls to __getattr__, which builds them from the
+    tuple's preorder child counts through _rebuild.
     Only these roots hold a _dyck slot, so other trees stay small."""
 
     __slots__ = ("_dyck",)
@@ -130,9 +131,16 @@ class _Decoded(Tree):
     def __getattr__(self, name):
         if name != "children":  # such as the hooks that copy looks up
             raise AttributeError(name)
-        from .dyck import _children
-
-        self.children = _children(self._dyck)
+        # The preorder child counts: m for each of the up/s nodes that open
+        # before a leaf, 0 for the leaf, and 0 for the last leaf.
+        s = self._dyck.step
+        counts = []
+        for up in self._dyck.entries:
+            if up:  # no empty list for the many entries of 0
+                counts += [s + 1] * (up // s)
+            counts.append(0)
+        counts.append(0)
+        self.children = _rebuild(counts).children
         return self.children
 
     @property

@@ -557,8 +557,11 @@ def test_enumerate_prefixed_words_counts():
 
 
 def test_enumerate_prefixed_words_matches_direct_product_filter():
-    for params in (P22, P32, fc.Params(2, 3)):
-        length = 6 if params.m == 3 else 5
+    # At Params(2, 1) no tail run is below K - s = 0, so only first =
+    # length has a word.
+    for params in (fc.Params(2, 1), P22, P32, fc.Params(2, 3),
+                   fc.Params(4, 2)):
+        length = 5 if params.m == 2 else 6
         values = range(0, params.modulus, params.step)
         for first in range(params.step, length + 1, params.step):
             expected = sorted(

@@ -17,6 +17,7 @@ import fusscat as fc
 from fusscat.dyck import _coded_trees
 from fusscat.expr import _read, _write
 from conftest import GRID_PARAMS, comb, params_and_tree, valid_leaf_counts
+from test_counting import _oracle_tuples
 
 P32 = fc.Params(3, 2)
 
@@ -346,6 +347,10 @@ _PARSE_ERRORS = {
     "(2,0,x)": _UNREADABLE % "(2,0,x)",  # not an integer
     "2;0": _UNREADABLE % "2;0",  # unreadable
     "(1,1)": "entry 1 is 1, not a multiple of 2",  # not multiples of the step
+    # int() reads each of these as 2; an entry is ASCII digits only
+    "(+2,0)": _UNREADABLE % "(+2,0)",
+    "(0_2,0)": _UNREADABLE % "(0_2,0)",
+    "(\u0662,0)": _UNREADABLE % "(\u0662,0)",  # an Arabic-Indic 2
 }
 
 
@@ -381,6 +386,10 @@ def test_enumerate_tuples_is_lexicographic_and_complete():
     p2 = fc.Params(2, 1)
     assert sum(1 for _ in fc.enumerate_tuples(p2, 4)) == 14
     assert [d.entries for d in fc.enumerate_tuples(p2, 0)] == [()]
+    for m in (2, 3, 4):
+        for length in range(0, 10, m - 1):
+            assert [d.entries for d in fc.enumerate_tuples(
+                fc.Params(m, 1), length)] == _oracle_tuples(m - 1, length)
 
 
 def test_enumerate_tuples_rejects_bad_lengths():

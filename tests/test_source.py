@@ -26,3 +26,16 @@ def test_sources_parse_as_python_3_10():
     # on any interpreter that runs the suite.
     for path in SOURCES:
         ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
+def test_the_tree_layer_imports_no_tuple_layer():
+    # dyck builds on tree; tree decodes its own roots, so the import runs
+    # one way only.
+    path = Path(fc.__file__).parent / "tree.py"
+    found = [node.lineno
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, (ast.Import, ast.ImportFrom))
+             and any("dyck" in name
+                     for name in [getattr(node, "module", None) or ""]
+                     + [alias.name for alias in node.names])]
+    assert found == []
