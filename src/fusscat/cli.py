@@ -63,11 +63,9 @@ def _cmd_count(args) -> int:
 
     params = Params(args.m, args.k)
     length = args.length if args.length is not None else args.leaves - 1
-    if args.brute:
-        value = counting.count_minimal_brute(params, length)
-    else:
-        value = counting.modular_fuss_catalan(params, length)
-    print(value)
+    route = (counting.count_minimal_brute if args.brute
+             else counting.modular_fuss_catalan)
+    print(route(params, length))
     return 0
 
 
@@ -146,35 +144,29 @@ def _cmd_verify(args) -> int:
     if args.max_length < shortest:
         raise DomainError("--max-length %d leaves no cell to check; the "
                           "shortest is %d" % (args.max_length, shortest))
-    mismatches = 0
-    cells = 0
+    routes = [("formula", counting.modular_fuss_catalan),
+              ("brute", counting.count_minimal_brute)]
+    if args.classes:
+        routes.append(("classes", lambda params, length: len(
+            counting.enumerate_classes(params, length + 1))))
+    mismatches = cells = 0
     for m in args.m_range:
         for k in args.k_range:
             params = Params(m, k)
             for length in range(m - 1, args.max_length + 1, m - 1):
                 cells += 1
-                formula = counting.modular_fuss_catalan(params, length)
-                line = ("m=%d k=%d length=%d formula=%d"
-                        % (m, k, length, formula))
-                try:
-                    brute = counting.count_minimal_brute(params, length)
-                except BudgetError:
-                    line += " brute=skipped"
-                    ok = True
-                else:
-                    line += " brute=%d" % brute
-                    ok = formula == brute
-                if args.classes:
+                line = "m=%d k=%d length=%d" % (m, k, length)
+                values = set()  # of the routes that ran
+                for name, route in routes:
                     try:
-                        reports = counting.enumerate_classes(params, length + 1)
+                        value = route(params, length)
                     except BudgetError:
-                        line += " classes=skipped"
+                        line += " %s=skipped" % name
                     else:
-                        line += " classes=%d" % len(reports)
-                        ok = ok and len(reports) == formula
-                print(line + (" ok" if ok else " MISMATCH"))
-                if not ok:
-                    mismatches += 1
+                        line += " %s=%d" % (name, value)
+                        values.add(value)
+                print(line + (" ok" if len(values) <= 1 else " MISMATCH"))
+                mismatches += len(values) > 1
     print("checked %d cells, %d mismatches" % (cells, mismatches))
     return 1 if mismatches else 0
 

@@ -91,10 +91,11 @@ def modular_fuss_catalan(params: Params, length: int) -> int:
     return q
 
 
-def _check_budget(m: int, length: int, budget: Optional[int]) -> None:
-    """Refuse when the m-ary trees of this length outnumber the budget;
-    n internal nodes make at least 2^(n-1) trees, so a large n needs no
-    count."""
+def _check_budget(params: Params, length: int, budget: Optional[int]) -> None:
+    """Refuse a length that params does not allow, then refuse when the
+    m-ary trees of this length outnumber the budget; n internal nodes make
+    at least 2^(n-1) trees, so a large n needs no count."""
+    params.check_length(length)
     if budget is None:
         raw = os.environ.get(BUDGET_ENV_VAR, DEFAULT_BUDGET)
         try:
@@ -102,11 +103,11 @@ def _check_budget(m: int, length: int, budget: Optional[int]) -> None:
         except ValueError:
             raise DomainError("%s must be an integer, got %r"
                               % (BUDGET_ENV_VAR, raw)) from None
-    n = length // (m - 1)
+    n = length // params.step
     if n > int(budget).bit_length():
         raise BudgetError("at least 2**%d trees exceed the budget of %d"
                           % (n - 1, budget))
-    total = fuss_catalan(m, length + 1)
+    total = fuss_catalan(params.m, length + 1)
     if total > budget:
         raise BudgetError("%d trees exceed the budget of %d" % (total, budget))
 
@@ -117,8 +118,7 @@ def count_minimal_brute(params: Params, length: int,
     walk only their tails, from the last entry back, each entry a multiple
     of s below K, with the entries from index i on summing to at most L-i
     (the path condition).  Refuses over budget like enumerate_classes."""
-    params.check_length(length)
-    _check_budget(params.m, length, budget)
+    _check_budget(params, length, budget)
     if length < 2:
         return 1  # () or (1,): no entry after the first
     s, top = params.step, params.modulus - params.step
@@ -156,13 +156,14 @@ def _traces(seed: tuple[int, ...], members: list[tuple[int, ...]],
             params: Params) -> tuple[tuple[RotationStep, ...], ...]:
     """For each member tuple, a rotation sequence taking it to the seed.
 
-    A breadth-first closure of {seed} under both directions records the
-    step back along the move that first reaches each tuple; a move
+    A breadth-first closure of {seed} under both directions records each
+    tuple's trace when it first reaches the tuple: the step back along
+    that move, then the trace of the tuple the move started from.  A move
     rewrites two entries by K.  The closure must be exactly the members."""
     from .dyck import _address, _move_table
 
     modulus = params.modulus
-    parents: dict[tuple[int, ...], Optional[tuple]] = {seed: None}
+    traces: dict[tuple[int, ...], tuple[RotationStep, ...]] = {seed: ()}
     reached = [seed]
     for d in reached:  # the list grows while it is read: breadth-first
         right, left, runs = _move_table(d, params)
@@ -173,22 +174,16 @@ def _traces(seed: tuple[int, ...], members: list[tuple[int, ...]],
                 edited[lo] -= shift
                 edited[hi] += shift
                 u = tuple(edited)
-                if u not in parents:
-                    parents[u] = (d, (back, _address(runs, node), position))
+                if u not in traces:
+                    traces[u] = ((back, _address(runs, node), position),
+                                 *traces[d])
                     reached.append(u)
-    if parents.keys() != set(members):
+    if traces.keys() != set(members):
         raise InternalInvariantError(
             "rotation closure of the representative disagrees with the "
             "signature class (%d reached, %d expected)"
-            % (len(parents), len(members)))
-    traces = []
-    for d in members:
-        steps = []
-        while parents[d] is not None:
-            d, step = parents[d]
-            steps.append(step)
-        traces.append(tuple(steps))
-    return tuple(traces)
+            % (len(traces), len(members)))
+    return tuple(map(traces.__getitem__, members))
 
 
 def enumerate_classes(params: Params, leaves: int, with_traces: bool = False,
@@ -202,8 +197,7 @@ def enumerate_classes(params: Params, leaves: int, with_traces: bool = False,
     from .dyck import _coded_trees, _minimal
 
     length = leaves - 1
-    params.check_length(length)
-    _check_budget(params.m, length, budget)
+    _check_budget(params, length, budget)
 
     # All runs' residues mod K: signature's, and two that follow from them
     residue = [e % params.modulus for e in range(length + 1)]

@@ -218,7 +218,8 @@ def parse_dyck(text: str, params: Params) -> DyckTuple:
     Run form: a word over {N, S} such as "NNSSNNSS".  Numeric form:
     comma-separated entries, optionally parenthesized, such as
     "(2,0,2,0)", each ASCII digits with an optional leading "-" (which
-    then fails as a negative entry).  Whitespace is ignored.
+    then fails as a negative entry) and, past its leading zeros, no more
+    digits than the tuple's length has.  Whitespace is ignored.
     """
     stripped = "".join(text.split())
     if stripped in ("", "()"):
@@ -236,7 +237,12 @@ def parse_dyck(text: str, params: Params) -> DyckTuple:
     if not all(p.isascii() and p.removeprefix("-").isdigit() for p in pieces):
         raise FormatError("cannot read %r as N/S runs or as comma-separated "
                           "entries" % (text,))
-    return DyckTuple(tuple(int(p) for p in pieces), params.step)
+    digits = [p.lstrip("-0") or "0" for p in pieces]  # no leading zeros
+    if max(map(len, digits)) > len(str(len(pieces))):  # before int() fails
+        raise FormatError("an entry of %d digits passes the tuple's "
+                          "length %d" % (max(map(len, digits)), len(pieces)))
+    return DyckTuple(tuple(-int(d) if p[0] == "-" else int(d)
+                           for p, d in zip(pieces, digits)), params.step)
 
 
 def print_dyck(d: DyckTuple, fmt: str = "tuple") -> str:

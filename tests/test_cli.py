@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ import fusscat.cli as cli
 import fusscat.counting
 import fusscat.dyck
 import fusscat.tree
+from conftest import edit_once
 
 
 @pytest.fixture
@@ -241,6 +243,24 @@ def test_convert_rejects_malformed_input(run):
         assert err.startswith("error: ")
 
 
+def test_a_tuple_entry_past_the_int_to_text_limit(run):
+    # int() refuses texts past 4,300 digits; parse_dyck refuses the entry
+    # first, and leading zeros do not count
+    ones = "1" + "0" * 5000
+    for argv, length in (
+            (("canon", "--m", "2", "--k", "1", "--in", "dyck",
+              "(%s,0)" % ones), 2),
+            (("convert", "--m", "2", "--from", "dyck", "--to", "tuple",
+              "(%s)" % ones), 1)):
+        code, out, err = run(*argv)
+        assert (code, out) == (2, "")
+        assert err == ("error: an entry of 5001 digits passes the tuple's "
+                       "length %d\n" % length)
+    code, out, err = run("convert", "--m", "2", "--from", "dyck",
+                         "--to", "tuple", "(%s1)" % ("0" * 4999))
+    assert (code, out, err) == (0, "(1)\n", "")
+
+
 def test_convert_has_no_dyck_prefixed_words(run):
     for argv in (("--from", "dyck-ns", "--to", "expr"),
                  ("--from", "dyck-tuple", "--to", "expr"),
@@ -369,15 +389,31 @@ def test_verify_skips_the_brute_over_budget(run):
     assert "m=2 k=2 length=30 formula=%d brute=skipped ok" % 2**29 in lines
 
 
-def test_verify_reports_mismatches(run, monkeypatch):
-    monkeypatch.setattr(fusscat.counting, "modular_fuss_catalan",
-                        lambda params, length: 999)
+@pytest.mark.parametrize("route,name,argv,cell", [
+    ("formula", "modular_fuss_catalan", (), "formula=2 brute=1 MISMATCH"),
+    ("brute", "count_minimal_brute", (), "formula=1 brute=2 MISMATCH"),
+    ("classes", "enumerate_classes", ("--classes",),
+     "formula=1 brute=1 classes=2 MISMATCH"),
+], ids=["formula", "brute", "classes"])
+def test_verify_reports_mismatches(run, monkeypatch, route, name, argv, cell):
+    # One route counts one class too many at L = 2 (3 leaves for classes)
+    right = getattr(fusscat.counting, name)
+
+    def wrong(params, size):
+        value = right(params, size)
+        if size != (3 if route == "classes" else 2):
+            return value
+        return value * 2 if route == "classes" else value + 1
+
+    monkeypatch.setattr(fusscat.counting, name, wrong)
     code, out, _ = run("verify", "--m-range", "2", "--k-range", "1",
-                       "--max-length", "3")
+                       "--max-length", "3", *argv)
+    agree = "formula=1 brute=1%s ok" % (" classes=1" if argv else "")
     assert code == 1
-    lines = out.splitlines()
-    assert all(line.endswith(" MISMATCH") for line in lines[:-1])
-    assert lines[-1] == "checked 3 cells, 3 mismatches"
+    assert out.splitlines() == ["m=2 k=1 length=1 " + agree,
+                                "m=2 k=1 length=2 " + cell,
+                                "m=2 k=1 length=3 " + agree,
+                                "checked 3 cells, 1 mismatches"]
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -445,3 +481,105 @@ def test_python_dash_m_runs_the_cli():
         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
         text=True, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "10\n", "")
+
+
+# ---------------------------------------------------------------------- fuzz
+
+# Sizes stay small or far past a limit, so every run ends at once: a
+# huge length is refused before any work, a small one is counted fast.
+_FUZZ_NUMBERS = ["0", "1", "2", "3", "4", "5", "6", "8", "-1", "-7", "",
+                 "x", "2.5", "1e3", "+3", "0_2", "\u0662", "10" * 40,
+                 "9" * 5000, "1000000", "1000000000000", str(2**63)]
+_FUZZ_RANGES = ["1", "2", "3", "2..4", "1..3", "4..2", "0..2", "x..3",
+                "2..", "..3", "-1..1", "1000000"]
+_FUZZ_LENGTH_RANGES = ["0..12", "5", "12..0", "0..x", "1000000",
+                       "2000000..2000001", "-3..3"]
+_FUZZ_TUPLES = ["(2,0,2,0)", "NNSSNNSS", "(1,0)", "(1)", "()", "", "NSX",
+                "(+2,0)", "(0_2,0)", "(\u0662,0)", "(-2,2)", "(02,00)",
+                "(1%s,0)" % ("0" * 5000), "(%s1)" % ("0" * 4999),
+                "(-%s2,0)" % ("0" * 5000), "(%s)" % ("9" * 5000)]
+
+
+def _fuzz_expression(rng, m, nodes):
+    """A random m-ary product of nodes * (m-1) + 1 operands, after one edit
+    a third of the time."""
+    items = ["x"] * (nodes * (m - 1) + 1)
+    while len(items) > 1:
+        at = rng.randrange(len(items) - m + 1)
+        items[at:at + m] = ["(%s)" % "*".join(items[at:at + m])]
+    text = items[0].removeprefix("(").removesuffix(")")
+    return edit_once(rng, text, "x*() ,") if rng.random() < 0.3 else text
+
+
+def _fuzz_text(rng, m):
+    if rng.random() < 0.5:
+        return _fuzz_expression(rng, m, rng.randrange(8))
+    text = rng.choice(_FUZZ_TUPLES)
+    return edit_once(rng, text, "(),-0129NS ") if text and rng.random() < 0.3 \
+        else text
+
+
+def _fuzz_argv(rng):
+    flag = rng.random
+
+    def number():  # most often a valid arity or degree
+        return rng.choice(("2", "3") if flag() < 0.6 else _FUZZ_NUMBERS)
+
+    def span():  # most often a valid range
+        return rng.choice(("2", "1..3") if flag() < 0.5 else _FUZZ_RANGES)
+
+    command = rng.choice(("count", "equiv", "canon", "convert", "table",
+                          "verify", "other"))
+    m = number()
+    arity = int(m) if m in ("2", "3") else 2  # of the texts
+    if command == "count":
+        size = rng.choice(("--length", "--leaves"))
+        length = str(rng.randrange(12)) if flag() < 0.6 else number()
+        return ["count", "--m", m, "--k", number(), size, length,
+                *(["--brute"] if flag() < 0.4 else [])]
+    if command == "equiv":
+        nodes = rng.randrange(8)
+        return ["equiv", "--m", m, "--k", number(),
+                _fuzz_expression(rng, arity, nodes),
+                _fuzz_expression(rng, arity, nodes)]
+    if command == "canon":
+        return ["canon", "--m", m, "--k", number(),
+                "--in", rng.choice(("expr", "dyck", "ns")),
+                "--out", rng.choice(("expr", "tuple", "ns", "dyck")),
+                _fuzz_text(rng, arity)]
+    if command == "convert":
+        return ["convert", "--m", m, "--from", rng.choice(("expr", "dyck")),
+                "--to", rng.choice(("expr", "tuple", "ns")),
+                _fuzz_text(rng, arity)]
+    if command == "table":
+        return ["table", "--m-range", span(), "--k-range", span(),
+                "--length-range", rng.choice(_FUZZ_LENGTH_RANGES),
+                "--format", rng.choice(("csv", "json", "xml"))]
+    if command == "verify":
+        return ["verify", "--m-range", span(), "--k-range", span(),
+                "--max-length", rng.choice(("-2", "0", "1", "4", "6", "x")),
+                *(["--classes"] if flag() < 0.5 else [])]
+    return rng.choice(([], ["--version"], ["frobnicate"], ["count"],
+                       ["table", "--m-range"], ["equiv", "--m", "2"]))
+
+
+def test_fuzzed_argv_keep_the_exit_code_contract(run, monkeypatch):
+    # Random argv over every command, with malformed numbers, ranges and
+    # texts: each exit is 0, 1 or 2, and only exit 2 writes to stderr, in
+    # one "error:" line.  Exit 3 would be a crash.
+    rng = random.Random(19)
+    for _ in range(2500):
+        argv = _fuzz_argv(rng)
+        budget = rng.choice((None, "50", "x", "-1"))
+        if budget is None:
+            monkeypatch.delenv("FUSSCAT_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("FUSSCAT_BUDGET", budget)
+        code, out, err = run(*argv, stdin=_fuzz_expression(rng, 2, 3) + "\n")
+        shown = [a if len(a) < 40 else "%d chars" % len(a) for a in argv]
+        assert code in (0, 1, 2), (shown, err[:200])
+        if code == 2:
+            assert sum("error:" in line for line in err.splitlines()) == 1, \
+                (shown, err[:200])
+        else:
+            assert err == "", (shown, err[:200])

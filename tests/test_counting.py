@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import re
 import time
 from contextlib import contextmanager
 
@@ -394,6 +395,27 @@ def test_traced_classes_make_no_tree_rotation(monkeypatch):
         (entries, ((),)) for entries in singles] + [
         ((6, 0, 0, 0, 0, 0), ((("left", (), 2), ("left", (), 1)),
                               (("left", (), 1),), ()))]
+
+
+@pytest.mark.parametrize("change", ["one more", "one less"])
+def test_a_closure_that_is_not_the_class_is_an_internal_error(change):
+    # The closure of the representative must reach exactly the members it
+    # is given: here (6,0,0,0,0,0)'s three, with a stray tuple added or a
+    # member dropped.
+    from fusscat.counting import _traces
+
+    reports = fc.enumerate_classes(P32, 7)
+    rep = reports[-1].representative.entries
+    members = [fc.to_dyck(t, P32).entries for t in reports[-1].members]
+    if change == "one more":
+        members.append(reports[0].representative.entries)
+    else:
+        members.pop()
+    message = ("rotation closure of the representative disagrees with the "
+               "signature class (3 reached, %d expected)" % len(members))
+    with pytest.raises(fc.InternalInvariantError,
+                       match="^%s$" % re.escape(message)):
+        _traces(rep, members, P32)
 
 
 def test_enumerate_classes_builds_one_tuple_per_class(monkeypatch):

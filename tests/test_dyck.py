@@ -331,6 +331,10 @@ def test_parse_dyck_numeric_form():
     assert fc.parse_dyck("(2,0,2,0)", P32).entries == (2, 0, 2, 0)
     assert fc.parse_dyck("2, 0, 2, 0", P32).entries == (2, 0, 2, 0)
     assert fc.parse_dyck("()", P32).entries == ()
+    # leading zeros do not count toward an entry's digits
+    assert fc.parse_dyck("(02,00,2,0)", P32).entries == (2, 0, 2, 0)
+    assert fc.parse_dyck("(%s1)" % ("0" * 4999), fc.Params(2, 1)).entries \
+        == (1,)
 
 
 _UNREADABLE = "cannot read %r as N/S runs or as comma-separated entries"
@@ -351,10 +355,24 @@ _PARSE_ERRORS = {
     "(+2,0)": _UNREADABLE % "(+2,0)",
     "(0_2,0)": _UNREADABLE % "(0_2,0)",
     "(\u0662,0)": _UNREADABLE % "(\u0662,0)",  # an Arabic-Indic 2
+    # a leading "-" survives the leading zeros
+    "(-02,4)": "entry 1 is -2, need a non-negative integer",
+    # no entry passes the tuple's length, so these are refused before
+    # int(), which raises ValueError past 4,300 digits
+    "(1%s,0)" % ("0" * 5000): "an entry of 5001 digits passes the tuple's "
+                              "length 2",
+    "(1%s)" % ("0" * 5000): "an entry of 5001 digits passes the tuple's "
+                            "length 1",
+    "(2,0,100,0)": "an entry of 3 digits passes the tuple's length 4",
 }
 
 
-@pytest.mark.parametrize("text", _PARSE_ERRORS)
+def _short_id(text):
+    """A long text's test id is its length; a short one keeps its own."""
+    return "%d-char text" % len(text) if len(text) > 40 else None
+
+
+@pytest.mark.parametrize("text", _PARSE_ERRORS, ids=_short_id)
 def test_parse_dyck_rejects_malformed_text(text):
     message = _PARSE_ERRORS[text]
     with pytest.raises(fc.FormatError, match="^%s$" % re.escape(message)):
