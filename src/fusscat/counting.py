@@ -18,7 +18,8 @@ exist so the formula is never the only route to a number, and refuse to
 start over budget.  `count_minimal_brute` walks only the minimal tuples,
 tail entries below K from the last one back.  `enumerate_classes` builds
 every tree once, over the smaller trees it holds, so the members of its
-classes share their subtrees, and reads each minimal tuple off its key.
+classes share their subtrees; it keys each tree by one `translate` of its
+node-count string, and reads each minimal tuple off that key.
 """
 
 from __future__ import annotations
@@ -152,40 +153,6 @@ class ClassReport(_Record):
         object.__setattr__(self, "traces", traces)
 
 
-def _traces(seed: tuple[int, ...], members: list[tuple[int, ...]],
-            params: Params) -> tuple[tuple[RotationStep, ...], ...]:
-    """For each member tuple, a rotation sequence taking it to the seed.
-
-    A breadth-first closure of {seed} under both directions records each
-    tuple's trace when it first reaches the tuple: the step back along
-    that move, then the trace of the tuple the move started from.  A move
-    rewrites two entries by K.  The closure must be exactly the members."""
-    from .dyck import _address, _move_table
-
-    modulus = params.modulus
-    traces: dict[tuple[int, ...], tuple[RotationStep, ...]] = {seed: ()}
-    reached = [seed]
-    for d in reached:  # the list grows while it is read: breadth-first
-        right, left, runs = _move_table(d, params)
-        for moves, back, shift in ((right, "left", modulus),
-                                   (left, "right", -modulus)):
-            for node, position, lo, hi in moves:
-                edited = list(d)
-                edited[lo] -= shift
-                edited[hi] += shift
-                u = tuple(edited)
-                if u not in traces:
-                    traces[u] = ((back, _address(runs, node), position),
-                                 *traces[d])
-                    reached.append(u)
-    if traces.keys() != set(members):
-        raise InternalInvariantError(
-            "rotation closure of the representative disagrees with the "
-            "signature class (%d reached, %d expected)"
-            % (len(traces), len(members)))
-    return tuple(map(traces.__getitem__, members))
-
-
 def enumerate_classes(params: Params, leaves: int, with_traces: bool = False,
                       budget: Optional[int] = None) -> list[ClassReport]:
     """Group every tree with the given leaf count into k-equivalence
@@ -194,24 +161,27 @@ def enumerate_classes(params: Params, leaves: int, with_traces: bool = False,
     Refuses to start when the tree count exceeds the budget (argument,
     else the FUSSCAT_BUDGET environment variable, else one million).
     """
-    from .dyck import _coded_trees, _minimal
+    from .dyck import _coded_trees, _minimal, _traces
 
     length = leaves - 1
     _check_budget(params, length, budget)
 
-    # All runs' residues mod K: signature's, and two that follow from them
-    residue = [e % params.modulus for e in range(length + 1)]
-    groups: dict[tuple[int, ...], list] = {}  # key: runs, tree, runs, ..
-    for runs, t in _coded_trees(params, length):
-        key = tuple([residue[e] for e in runs])
-        groups.setdefault(key, []).extend((runs, t))
+    # A node count mod k is its entry's residue mod K, over s
+    s, k = params.step, params.k
+    residue = [c % k for c in range(length // s + 1)]
+    runs, trees = _coded_trees(params, length)
+    groups: dict[str, list[int]] = {}  # key: residues of the runs
+    for i in sorted(range(len(runs)), key=runs.__getitem__):
+        groups.setdefault(runs[i].translate(residue), []).append(i)
 
     reports = []
     for key, group in groups.items():
-        rep = _minimal(key[1:-1], length, params.step)
+        rep = _minimal([s * ord(c) for c in key[1:-1]], length, s)
+        # The closure starts from rep's runs: the key with rep's first count
         reports.append(ClassReport(
-            rep, len(group) // 2, tuple(group[1::2]),
-            _traces(rep.entries, [runs[:-1] for runs in group[::2]], params)
+            rep, len(group), tuple(map(trees.__getitem__, group)),
+            _traces(chr(rep.entries[0] // s) + key[1:] if length else key,
+                    list(map(runs.__getitem__, group)), params)
             if with_traces else None))
     reports.sort(key=lambda r: r.representative.entries)
     return reports

@@ -27,7 +27,7 @@ class has exactly one tuple whose entries after the first are all < K.
 from __future__ import annotations
 
 from bisect import bisect
-from typing import Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 from .errors import FormatError, InternalInvariantError, SiteError, SizeError
 from .params import Params, _Record
@@ -164,30 +164,31 @@ def enumerate_trees(params: Params, leaves: int) -> Iterator[Tree]:
     return (from_dyck(d, params) for d in enumerate_tuples(params, leaves - 1))
 
 
-def _coded_trees(params: Params,
-                 length: int) -> list[tuple[tuple[int, ...], Tree]]:
-    """(runs, tree) for every tree of the given length, in the order of
-    enumerate_tuples; the caller checks the size.
-
-    Builds size by size: a tree with i internal nodes is a node over m
-    trees with i-1 in all, so each tree is made once and shared by every
-    larger tree that holds it.  Beside it go its preorder runs, its
-    entries and a closing 0: a node's runs are its children's joined,
-    with s added to the first.  All runs of one size have one length, so
-    sorting by them is the order of enumerate_tuples."""
-    m, s = params.m, params.step
-    sized = [[((0,), leaf())]]  # sized[i]: (runs, tree) with i internal nodes
-    for i in range(1, length // s + 1):
-        heads = [((), (), 0)]  # the first m-1 children: (runs, trees, nodes)
+def _coded_trees(params: Params, length: int) -> tuple[list[str], list[Tree]]:
+    """(runs, trees) of every tree of the given length, at one index
+    each; the caller checks the size.  Runs hold one character per leaf,
+    the nodes that open just before it in preorder (its entry over s,
+    which at a large m could pass chr's range), then the last leaf's
+    closing "\\0".  Runs of one size have one length, so sorting them is
+    the order of enumerate_tuples; strings sort in C, untracked by the
+    collector.  Builds size by size: a tree with i internal nodes is a
+    node over m trees with i-1 in all, so each tree is made once and
+    shared by every larger tree that holds it; a node's runs are its
+    children's joined, with one more node before the first leaf."""
+    m = params.m
+    sized = [(["\0"], [leaf()])]  # sized[i]: runs, trees with i nodes
+    for i in range(1, length // params.step + 1):
+        heads = [("", (), 0)]  # the first m-1 children: (runs, trees, nodes)
         for _ in range(m - 1):
             heads = [(runs + r, kids + (t,), used + j)
                      for runs, kids, used in heads
-                     for j in range(i - used) for r, t in sized[j]]
+                     for j in range(i - used) for r, t in zip(*sized[j])]
         # The last child takes the nodes that are left.
-        sized.append([((runs[0] + s,) + runs[1:] + r, Tree(kids + (t,)))
-                      for runs, kids, used in heads
-                      for r, t in sized[i - 1 - used]])
-    sized[-1].sort(key=lambda pair: pair[0])
+        sized.append((
+            [chr(ord(runs[0]) + 1) + runs[1:] + r
+             for runs, _, used in heads for r in sized[i - 1 - used][0]],
+            [Tree(kids + (t,))
+             for _, kids, used in heads for t in sized[i - 1 - used][1]]))
     return sized[-1]
 
 
@@ -254,28 +255,29 @@ def print_dyck(d: DyckTuple, fmt: str = "tuple") -> str:
     raise ValueError("fmt must be 'tuple' or 'ns', got %r" % (fmt,))
 
 
-def _move_table(entries: tuple[int, ...], params: Params) -> tuple:
-    """Every k-rotation of the tree with these path entries, both
-    directions in one pass: (right, left, runs).  A move is (node,
-    position, lo, hi): the right move takes K from entries[lo] and adds it
-    to entries[hi], the left move the reverse.  Nodes are numbered in
+def _move_table(counts: Iterable[int], params: Params) -> tuple:
+    """Every k-rotation of the tree whose leaves have these node counts
+    (path entries over s; a closing 0 for the last leaf adds no move),
+    both directions in one pass: (right, left, runs).  A move is (node,
+    position, lo, hi): the right move takes k from counts[lo] and adds it
+    to counts[hi], the left move the reverse.  Nodes are numbered in
     preorder, which is address order, so each list is sorted as
     rotation_sites.  runs lists the up-runs as (top node, parent, child
-    index of the top); a run's e/s nodes are a chain of first children.
+    index of the top); a run's nodes are a chain of first children.
 
     The pass keeps a frame per open run, the top one in locals: its first
     leaf, top node, deepest open node v, the child v reads and the leaf
     where that child began.  Where leaf j begins child c >= 2 of v, the
-    left move at (v, c-1) applies if entries[j] >= K, as child c then
+    left move at (v, c-1) applies if counts[j] >= k, as child c then
     heads a chain of k nodes; for c = 2, the right move at (u, p) applies
     if v is the k-th node of the chain that child p < m of u heads: u is
     v's k-th ancestor in its run, or the deepest node of the run below,
-    which reads a child >= 2.  The pass stops before the last leaf."""
-    m, k, s, modulus = params.m, params.k, params.step, params.modulus
+    which reads a child >= 2."""
+    m, k = params.m, params.k
     runs, right, left, frames = [], [], [], []
     first = top = start = nodes = 0  # nodes: the nodes numbered so far
     v, c = -1, m  # below the root's run, a frame with no child left to read
-    for j, e in enumerate(entries):
+    for j, e in enumerate(counts):
         if j:
             while c == m:  # v has read its last child: close it
                 if v == top:
@@ -283,7 +285,7 @@ def _move_table(entries: tuple[int, ...], params: Params) -> tuple:
                 else:  # its parent, above it in the run, reads child 1
                     v, c, start = v - 1, 1, first
             c += 1
-            if e >= modulus:
+            if e >= k:
                 left.append((v, c - 1, start, j))
             if c == 2 and v - top >= k:
                 right.append((v - k, 1, first, j))
@@ -293,8 +295,8 @@ def _move_table(entries: tuple[int, ...], params: Params) -> tuple:
         if e:
             runs.append((nodes, v, c))
             frames.append((first, top, v, c, start))
-            first, top, v, c, start = j, nodes, nodes + e // s - 1, 1, j
-            nodes += e // s
+            first, top, v, c, start = j, nodes, nodes + e - 1, 1, j
+            nodes += e
     right.sort()  # the pass meets a node's moves after its children's
     left.sort()
     return right, left, runs
@@ -314,17 +316,45 @@ def _address(runs: list[tuple[int, int, int]], node: int) -> tuple[int, ...]:
     return (1,) * node + tuple(address[::-1])
 
 
+def _traces(seed: str, members: list[str], params: Params) -> tuple:
+    """For each member, a rotation sequence taking it to the seed, all
+    runs as _coded_trees makes them.  A breadth-first closure of {seed}
+    under both directions records each tree's trace when it first
+    reaches it: the step back along that move, then the trace of the tree
+    the move started from.  A move rewrites two counts by k.  The closure
+    must be exactly the members."""
+    k = params.k
+    traces = {seed: ()}
+    reached = [seed]
+    for d in reached:  # the list grows while it is read: breadth-first
+        right, left, runs = _move_table(map(ord, d), params)
+        for moves, back, shift in ((right, "left", k), (left, "right", -k)):
+            for node, position, lo, hi in moves:
+                u = (d[:lo] + chr(ord(d[lo]) - shift) + d[lo + 1:hi]
+                     + chr(ord(d[hi]) + shift) + d[hi + 1:])
+                if u not in traces:
+                    traces[u] = ((back, _address(runs, node), position),
+                                 *traces[d])
+                    reached.append(u)
+    if traces.keys() != set(members):
+        raise InternalInvariantError(
+            "rotation closure of the representative disagrees with the "
+            "signature class (%d reached, %d expected)"
+            % (len(traces), len(members)))
+    return tuple(map(traces.__getitem__, members))
+
+
 def rotation_sites(t: Tree, params: Params, direction: str = "right") -> list[Site]:
     """All (address, j) pairs where a k-rotation in the given direction
     applies, ordered by address (lexicographic) then j.
 
     Right rotation needs child j to head a first-child chain of at least
     k internal nodes; left rotation needs the same of child j+1."""
-    entries = to_dyck(t, params).entries
+    counts = [e // params.step for e in to_dyck(t, params).entries]
     if direction not in ("right", "left"):
         raise ValueError("direction must be 'right' or 'left', got %r"
                          % (direction,))
-    right, left, runs = _move_table(entries, params)
+    right, left, runs = _move_table(counts, params)
     return [(_address(runs, node), position) for node, position, _, _
             in (right if direction == "right" else left)]
 
@@ -341,7 +371,7 @@ def compress(d: DyckTuple, site: Site, params: Params,
     address, position = site
     _check_step(d, params)
     m = params.m
-    right, left, runs = _move_table(d.entries, params)
+    right, left, runs = _move_table([e // d.step for e in d.entries], params)
     # Child 1 of a node is node + 1, or a leaf where the node ends its run
     nodes = {(parent, index): top for top, parent, index in runs}
     tops = {top for top, _, _ in runs} | {len(d.entries) // d.step}

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import re
 import time
+import tracemalloc
 from contextlib import contextmanager
 
 import pytest
@@ -397,18 +398,23 @@ def test_traced_classes_make_no_tree_rotation(monkeypatch):
                               (("left", (), 1),), ()))]
 
 
+def _runs(d):
+    """A tuple as the closure reads it: node counts and a closing "\\0"."""
+    return "".join([chr(e // d.step) for e in d.entries]) + "\0"
+
+
 @pytest.mark.parametrize("change", ["one more", "one less"])
 def test_a_closure_that_is_not_the_class_is_an_internal_error(change):
     # The closure of the representative must reach exactly the members it
     # is given: here (6,0,0,0,0,0)'s three, with a stray tuple added or a
     # member dropped.
-    from fusscat.counting import _traces
+    from fusscat.dyck import _traces
 
     reports = fc.enumerate_classes(P32, 7)
-    rep = reports[-1].representative.entries
-    members = [fc.to_dyck(t, P32).entries for t in reports[-1].members]
+    rep = _runs(reports[-1].representative)
+    members = [_runs(fc.to_dyck(t, P32)) for t in reports[-1].members]
     if change == "one more":
-        members.append(reports[0].representative.entries)
+        members.append(_runs(reports[0].representative))
     else:
         members.pop()
     message = ("rotation closure of the representative disagrees with the "
@@ -466,7 +472,7 @@ def test_traced_classes_are_frozen():
 def _reference_classes(params, leaves, with_traces):
     """The route that decodes each member on its own: enumerate the
     tuples, group them by signature, decode the members with from_dyck."""
-    from fusscat.counting import _traces
+    from fusscat.dyck import _traces
 
     groups = {}
     for d in fc.enumerate_tuples(params, leaves - 1):
@@ -474,7 +480,7 @@ def _reference_classes(params, leaves, with_traces):
     reports = []
     for members in groups.values():
         rep = fc.canonicalize(members[0], params)
-        traces = (_traces(rep.entries, [d.entries for d in members], params)
+        traces = (_traces(_runs(rep), list(map(_runs, members)), params)
                   if with_traces else None)
         reports.append((rep, tuple(fc.from_dyck(d, params) for d in members),
                         traces))
@@ -489,6 +495,21 @@ def test_enumerate_classes_matches_the_decoding_route():
                    fc.enumerate_classes(params, leaves, with_traces=with_traces)]
             assert got == _reference_classes(params, leaves, with_traces), \
                 (params, leaves)
+
+
+def test_enumerate_classes_stays_within_its_memory():
+    # 58,786 trees in one class.  Each tree's runs are one string and its
+    # index one int in its group, with no tuple per tree: the peak was
+    # 17.8-18.5 MB on Python 3.10-3.13, and 28.5-29.1 MB with a runs tuple
+    # and a key tuple per tree.  22 MB leaves room for object sizes, which
+    # differ a little between the versions CI runs.
+    tracemalloc.start()
+    try:
+        fc.enumerate_classes(fc.Params(2, 1), 12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 22_000_000
 
 
 @pytest.mark.parametrize("m,leaves,distinct", [(2, 11, 23714), (3, 11, 345),

@@ -1,5 +1,6 @@
-"""The text reader against perfbench/reference.py, which reads text into
-nested tuples by its own definitions and does not use fusscat.
+"""The text reader, and the classes and moves of a large-arity cell,
+against perfbench/reference.py, which reads text into nested tuples and
+rotates them by its own definitions and does not use fusscat.
 
 Random trees are written by the reference writer, with '*' often turned
 into runs of whitespace and the parentheses padded, and must read back
@@ -92,3 +93,56 @@ def test_edited_texts_are_refused_as_the_reference_refuses_them(m):
         assert ours == _theirs(text, m), text
         accepted += ours is not None
     assert 0 < accepted < 400  # both outcomes are exercised
+
+
+def _reference_sites(tree, m: int, k: int, direction: str):
+    """{site: rotated tuple} for every (address, position) where the
+    reference rotation applies."""
+    # A leaf heads no chain, so the rotation needs an internal child at
+    # position (right) or position + 1 (left).
+    shift = direction == "left"
+    sites = {}
+    todo = [(tree, ())]
+    while todo:
+        node, address = todo.pop()
+        if not node:
+            continue
+        todo.extend((child, address + (i,))
+                    for i, child in enumerate(node, start=1))
+        for position in range(1, m):
+            if not node[position - 1 + shift]:
+                continue
+            try:
+                turned = ref.rotate(tree, direction, address, position, m, k)
+            except ValueError:
+                continue
+            sites[address, position] = ref.tree_to_tuple(turned, m)
+    return sites
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_a_large_arity_cell_against_the_reference(k):
+    # At m = 300 an entry is 299 times its node count, so the classes,
+    # whose runs hold node counts, and the moves, which edit them by k,
+    # are checked where counts and entries differ most.
+    from test_counting import _reference_classes
+
+    m, leaves = 300, 599
+    params = fc.Params(m, k)
+    reports = fc.enumerate_classes(params, leaves, with_traces=True)
+    assert [(r.representative, r.members, r.traces) for r in reports] \
+        == _reference_classes(params, leaves, with_traces=True)
+    moves = 0
+    for d in fc.enumerate_tuples(params, leaves - 1):
+        t = fc.from_dyck(d, params)
+        for direction in ("right", "left"):
+            sites = _reference_sites(ref.tuple_to_tree(d.entries, m), m, k,
+                                     direction)
+            assert fc.rotation_sites(t, params, direction) == sorted(sites)
+            for site, turned in sites.items():
+                assert fc.compress(d, site, params, direction).entries \
+                    == turned
+            moves += len(sites)
+    # k = 1: one class of 300 trees, 299 moves each way; k = 2: two
+    # nodes make no chain of two below a child, so 300 singletons.
+    assert (len(reports), moves) == ((1, 598) if k == 1 else (300, 0))

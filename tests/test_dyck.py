@@ -204,6 +204,24 @@ def test_copies_of_a_decoded_tree_encode_alike():
         assert fc.to_dyck(_rebuilt(other), P32) == d
 
 
+# ------------------------------------------------------------ coded trees
+
+def test_coded_runs_are_node_counts_in_tuple_order():
+    # A tree's runs hold one character per leaf: the nodes that open
+    # before it (its entry over s), then the last leaf's closing "\0".
+    for params in GRID_PARAMS:
+        for leaves in valid_leaf_counts(params, 9):
+            runs, trees = _coded_trees(params, leaves - 1)
+            assert len(runs) == len(trees)
+            tuples = list(fc.enumerate_tuples(params, leaves - 1))
+            assert [tuple_of([params.step * ord(c) for c in r[:-1]], params)
+                    for r in sorted(runs)] == tuples
+            for r, t in zip(runs, trees):
+                assert r[-1] == "\0"
+                assert tuple(params.step * ord(c) for c in r[:-1]) \
+                    == fc.to_dyck(t, params).entries
+
+
 # ------------------------------------------------------------ lazy decoding
 
 def test_a_lazy_root_equals_the_eager_tree_exhaustive():
@@ -212,8 +230,9 @@ def test_a_lazy_root_equals_the_eager_tree_exhaustive():
     # point meets one whose children were never read.
     for params in GRID_PARAMS[::3]:
         for leaves in valid_leaf_counts(params, 8):
-            for runs, eager in _coded_trees(params, leaves - 1):
-                d = tuple_of(runs[:-1], params)  # runs end with a closing 0
+            for runs, eager in zip(*_coded_trees(params, leaves - 1)):
+                # node counts, and a closing "\0"
+                d = tuple_of([params.step * ord(c) for c in runs[:-1]], params)
 
                 def lazy():
                     return fc.from_dyck(d, params)
@@ -488,7 +507,8 @@ def test_address_of_each_node_is_its_address_in_preorder():
     for params in GRID_PARAMS:
         for leaves in valid_leaf_counts(params, 9):
             for t in fc.enumerate_trees(params, leaves):
-                _, _, runs = _move_table(fc.to_dyck(t, params).entries, params)
+                counts = [e // params.step for e in fc.to_dyck(t, params)]
+                _, _, runs = _move_table(counts, params)
                 addresses = sorted(_internal_addresses(t))  # preorder
                 assert [_address(runs, node)
                         for node in range(len(addresses))] == addresses
@@ -498,7 +518,7 @@ def _edits(d, params):
     """(direction, site, edited entries) of every move _move_table lists."""
     from fusscat.dyck import _address, _move_table
 
-    right, left, runs = _move_table(d.entries, params)
+    right, left, runs = _move_table([e // d.step for e in d], params)
     for direction, moves, shift in (("right", right, params.modulus),
                                     ("left", left, -params.modulus)):
         for node, j, lo, hi in moves:
