@@ -20,15 +20,15 @@ _HOMES = {name: module for module, names in (
                   "cyclic_shift", "enumerate_classes",
                   "enumerate_prefixed_words", "fuss_catalan",
                   "modular_fuss_catalan")),
-    ("dyck", ("DyckTuple", "canonicalize", "compress", "depth_to_tuple",
-              "enumerate_trees", "enumerate_tuples", "equivalent", "from_dyck",
-              "is_minimal", "parse_dyck", "print_dyck", "rotation_sites",
-              "signature", "to_dyck")),
+    ("dyck", ("DyckTuple", "canonicalize", "depth_to_tuple", "enumerate_trees",
+              "enumerate_tuples", "equivalent", "from_dyck", "is_minimal",
+              "parse_dyck", "print_dyck", "signature", "to_dyck")),
     ("errors", ("ArityError", "BudgetError", "DomainError", "FormatError",
                 "FusscatError", "InternalInvariantError", "ParseError",
                 "SiteError", "SizeError")),
     ("expr", ("parse", "unparse")),
     ("params", ("Params",)),
+    ("rotation", ("compress", "rotation_sites")),
     ("tree", ("DepthMatrix", "Tree", "depth_matrix", "leaf", "left_assoc_meet",
               "meet", "rotate_left", "rotate_right")),
 ) for name in names}

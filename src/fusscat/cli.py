@@ -7,8 +7,10 @@ data errors, 3 for an internal error (a crash, never a verdict).
 Output is deterministic; counts are printed as decimal strings.  An
 expression argument of "-" reads one line from stdin.
 
-Each command imports the layers (and json) it uses when it runs, so a
-process loads only what its command needs.
+Each command imports the layers it uses when it runs, so a process
+loads (and without bytecode caches compiles) only what its command
+needs; no command loads the tree layer or json, as _json writes the
+records.
 """
 
 from __future__ import annotations
@@ -58,6 +60,16 @@ def _render(d: DyckTuple, fmt: str, params: Params) -> str:
     return dyck.print_dyck(d, fmt)
 
 
+def _json(record: dict) -> str:
+    """json.dumps(record) for the records printed here: the writers' text
+    needs no escape, and repr writes ints and lists of them as JSON."""
+    return "{%s}" % ", ".join(
+        '"%s": %s' % (key, str(value).lower() if isinstance(value, bool)
+                      else '"%s"' % value if isinstance(value, str)
+                      else repr(value))
+        for key, value in record.items())
+
+
 def _cmd_count(args) -> int:
     from . import counting
 
@@ -70,8 +82,6 @@ def _cmd_count(args) -> int:
 
 
 def _cmd_equiv(args) -> int:
-    import json
-
     from . import dyck
 
     params = Params(args.m, args.k)
@@ -85,13 +95,11 @@ def _cmd_equiv(args) -> int:
     if same:
         record["canonical"] = _render(dyck.canonicalize(tuples[0], params),
                                       "expr", params)
-    print(json.dumps(record))
+    print(_json(record))
     return 0 if same else 1
 
 
 def _cmd_canon(args) -> int:
-    import json
-
     from . import dyck
 
     params = Params(args.m, args.k)
@@ -101,7 +109,7 @@ def _cmd_canon(args) -> int:
         "canonical": _render(minimal, args.out_format, params),
         "signature": list(dyck.signature(minimal, params)),
     }
-    print(json.dumps(record))
+    print(_json(record))
     return 0
 
 
@@ -129,11 +137,9 @@ def _cmd_table(args) -> int:
         for m, k, length, count in rows:
             print("%d,%d,%d,%d" % (m, k, length, count))
     else:
-        import json
-
         for m, k, length, count in rows:
-            print(json.dumps({"m": m, "k": k, "length": length,
-                              "count": str(count)}))
+            print(_json({"m": m, "k": k, "length": length,
+                         "count": str(count)}))
     return 0
 
 
@@ -147,8 +153,7 @@ def _cmd_verify(args) -> int:
     routes = [("formula", counting.modular_fuss_catalan),
               ("brute", counting.count_minimal_brute)]
     if args.classes:
-        routes.append(("classes", lambda params, length: len(
-            counting.enumerate_classes(params, length + 1))))
+        routes.append(("classes", counting._count_classes))
     mismatches = cells = 0
     for m in args.m_range:
         for k in args.k_range:

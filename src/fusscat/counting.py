@@ -20,6 +20,8 @@ tail entries below K from the last one back.  `enumerate_classes` builds
 every tree once, over the smaller trees it holds, so the members of its
 classes share their subtrees; it keys each tree by one `translate` of its
 node-count string, and reads each minimal tuple off that key.
+`verify --classes` needs only the number of classes, so it keys the
+walker's tuples by their residues instead and builds no tree.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ from .params import Params, _Record
 # layers when they run, so the formula alone loads neither; here they
 # are imported for type checkers only.
 if TYPE_CHECKING:
-    from .dyck import DyckTuple, Tree
+    from .dyck import DyckTuple
+    from .tree import Tree
 
 RotationStep = tuple[str, tuple[int, ...], int]  # (direction, address, position)
 
@@ -161,7 +164,8 @@ def enumerate_classes(params: Params, leaves: int, with_traces: bool = False,
     Refuses to start when the tree count exceeds the budget (argument,
     else the FUSSCAT_BUDGET environment variable, else one million).
     """
-    from .dyck import _coded_trees, _minimal, _traces
+    from .dyck import _coded_trees, _minimal
+    from .rotation import _traces
 
     length = leaves - 1
     _check_budget(params, length, budget)
@@ -185,6 +189,20 @@ def enumerate_classes(params: Params, leaves: int, with_traces: bool = False,
             if with_traces else None))
     reports.sort(key=lambda r: r.representative.entries)
     return reports
+
+
+def _count_classes(params: Params, length: int,
+                   budget: Optional[int] = None) -> int:
+    """len(enumerate_classes(params, length + 1)), under the same budget,
+    with no tree: the distinct residue keys of every tuple, one held per
+    class.  verify's classes route."""
+    from .dyck import _entry_lists
+
+    _check_budget(params, length, budget)
+    s, modulus = params.step, params.modulus
+    floors = [(i // s + 1) * s for i in range(length)]  # as enumerate_tuples
+    return len({tuple([e % modulus for e in entries[1:]])
+                for entries in _entry_lists(floors, length, s)})
 
 
 class PrefixedWord(_Record):

@@ -18,20 +18,35 @@ Decoding is lazy: from_dyck's root keeps its tuple, which to_dyck and
 unparse read in O(1), and builds its children when they are first read.
 
 Under the encoding a right k-rotation becomes a two-entry rewrite: one
-entry drops by K = k(m-1) and a later one grows by K; rotation_sites and
-compress read these rewrites off the tuple and build no tree.  Hence the
-residues mod K of d2..d_L classify trees up to k-rotations, and each
-class has exactly one tuple whose entries after the first are all < K.
+entry drops by K = k(m-1) and a later one grows by K, which the rotation
+module reads off the tuple.  Hence the residues mod K of d2..d_L classify
+trees up to k-rotations, and each class has exactly one tuple whose
+entries after the first are all < K.  Only the functions that build or
+refuse a tree load the tree module, through _tree, when they first run.
 """
 
 from __future__ import annotations
 
-from bisect import bisect
-from typing import Iterable, Iterator, Sequence, Union
+from typing import TYPE_CHECKING, Iterator, Sequence, Union
 
-from .errors import FormatError, InternalInvariantError, SiteError, SizeError
+from .errors import FormatError, InternalInvariantError, SizeError
 from .params import Params, _Record
-from .tree import Site, Tree, _arity_error, _Decoded, leaf
+
+if TYPE_CHECKING:
+    from .tree import Tree
+
+
+class _TreeLayer:
+    """The tree module's stand-in: the first read from it imports the
+    module and binds it to _tree in its place."""
+
+    def __getattr__(self, name):
+        global _tree
+        from . import tree as _tree
+        return getattr(_tree, name)
+
+
+_tree = _TreeLayer()
 
 
 class DyckTuple(_Record):
@@ -129,7 +144,7 @@ def to_dyck(t: Tree, params: Params) -> DyckTuple:
             entries.append(run)
             run = 0
         elif len(node.children) != m:
-            raise _arity_error(node, params)
+            raise _tree._arity_error(node, params)
         else:
             run += s
             todo.extend(node.children[::-1])
@@ -146,7 +161,7 @@ def from_dyck(d: DyckTuple, params: Params) -> Tree:
     one-leaf tree is shared and keeps nothing."""
     _check_step(d, params)
     if not d.entries:
-        return leaf()
+        return _tree.leaf()
     s = d.step
     size = 1  # the stack of subtrees _rebuild would hold
     for up in reversed(d.entries):
@@ -155,7 +170,7 @@ def from_dyck(d: DyckTuple, params: Params) -> Tree:
             break
     if size != 1 or min(d.entries) < 0:
         raise InternalInvariantError("path not fully consumed")
-    return _Decoded(d)
+    return _tree._Decoded(d)
 
 
 def enumerate_trees(params: Params, leaves: int) -> Iterator[Tree]:
@@ -175,8 +190,8 @@ def _coded_trees(params: Params, length: int) -> tuple[list[str], list[Tree]]:
     node over m trees with i-1 in all, so each tree is made once and
     shared by every larger tree that holds it; a node's runs are its
     children's joined, with one more node before the first leaf."""
-    m = params.m
-    sized = [(["\0"], [leaf()])]  # sized[i]: runs, trees with i nodes
+    m, Tree = params.m, _tree.Tree
+    sized = [(["\0"], [_tree.leaf()])]  # sized[i]: runs, trees with i nodes
     for i in range(1, length // params.step + 1):
         heads = [("", (), 0)]  # the first m-1 children: (runs, trees, nodes)
         for _ in range(m - 1):
@@ -253,148 +268,6 @@ def print_dyck(d: DyckTuple, fmt: str = "tuple") -> str:
     if fmt == "tuple":
         return "(" + ",".join(str(e) for e in d.entries) + ")"
     raise ValueError("fmt must be 'tuple' or 'ns', got %r" % (fmt,))
-
-
-def _move_table(counts: Iterable[int], params: Params) -> tuple:
-    """Every k-rotation of the tree whose leaves have these node counts
-    (path entries over s; a closing 0 for the last leaf adds no move),
-    both directions in one pass: (right, left, runs).  A move is (node,
-    position, lo, hi): the right move takes k from counts[lo] and adds it
-    to counts[hi], the left move the reverse.  Nodes are numbered in
-    preorder, which is address order, so each list is sorted as
-    rotation_sites.  runs lists the up-runs as (top node, parent, child
-    index of the top); a run's nodes are a chain of first children.
-
-    The pass keeps a frame per open run, the top one in locals: its first
-    leaf, top node, deepest open node v, the child v reads and the leaf
-    where that child began.  Where leaf j begins child c >= 2 of v, the
-    left move at (v, c-1) applies if counts[j] >= k, as child c then
-    heads a chain of k nodes; for c = 2, the right move at (u, p) applies
-    if v is the k-th node of the chain that child p < m of u heads: u is
-    v's k-th ancestor in its run, or the deepest node of the run below,
-    which reads a child >= 2."""
-    m, k = params.m, params.k
-    runs, right, left, frames = [], [], [], []
-    first = top = start = nodes = 0  # nodes: the nodes numbered so far
-    v, c = -1, m  # below the root's run, a frame with no child left to read
-    for j, e in enumerate(counts):
-        if j:
-            while c == m:  # v has read its last child: close it
-                if v == top:
-                    first, top, v, c, start = frames.pop()
-                else:  # its parent, above it in the run, reads child 1
-                    v, c, start = v - 1, 1, first
-            c += 1
-            if e >= k:
-                left.append((v, c - 1, start, j))
-            if c == 2 and v - top >= k:
-                right.append((v - k, 1, first, j))
-            elif c == 2 and v - top == k - 1 and frames[-1][3] < m:
-                right.append((frames[-1][2], frames[-1][3], first, j))
-            start = j
-        if e:
-            runs.append((nodes, v, c))
-            frames.append((first, top, v, c, start))
-            first, top, v, c, start = j, nodes, nodes + e - 1, 1, j
-            nodes += e
-    right.sort()  # the pass meets a node's moves after its children's
-    left.sort()
-    return right, left, runs
-
-
-def _address(runs: list[tuple[int, int, int]], node: int) -> tuple[int, ...]:
-    """The address of a node numbered by _move_table, read off its run."""
-    address: list[int] = []  # backwards, up to the root's run
-    i = bisect(runs, (node + 1,)) - 1  # the node's run
-    while i:
-        top, parent, index = runs[i]
-        address += (1,) * (node - top) + (index,)
-        node = parent
-        if runs[i - 1][0] > node:  # the parent's run is further back
-            i = bisect(runs, (node + 1,), 0, i)
-        i -= 1
-    return (1,) * node + tuple(address[::-1])
-
-
-def _traces(seed: str, members: list[str], params: Params) -> tuple:
-    """For each member, a rotation sequence taking it to the seed, all
-    runs as _coded_trees makes them.  A breadth-first closure of {seed}
-    under both directions records each tree's trace when it first
-    reaches it: the step back along that move, then the trace of the tree
-    the move started from.  A move rewrites two counts by k.  The closure
-    must be exactly the members."""
-    k = params.k
-    traces = {seed: ()}
-    reached = [seed]
-    for d in reached:  # the list grows while it is read: breadth-first
-        right, left, runs = _move_table(map(ord, d), params)
-        for moves, back, shift in ((right, "left", k), (left, "right", -k)):
-            for node, position, lo, hi in moves:
-                u = (d[:lo] + chr(ord(d[lo]) - shift) + d[lo + 1:hi]
-                     + chr(ord(d[hi]) + shift) + d[hi + 1:])
-                if u not in traces:
-                    traces[u] = ((back, _address(runs, node), position),
-                                 *traces[d])
-                    reached.append(u)
-    if traces.keys() != set(members):
-        raise InternalInvariantError(
-            "rotation closure of the representative disagrees with the "
-            "signature class (%d reached, %d expected)"
-            % (len(traces), len(members)))
-    return tuple(map(traces.__getitem__, members))
-
-
-def rotation_sites(t: Tree, params: Params, direction: str = "right") -> list[Site]:
-    """All (address, j) pairs where a k-rotation in the given direction
-    applies, ordered by address (lexicographic) then j.
-
-    Right rotation needs child j to head a first-child chain of at least
-    k internal nodes; left rotation needs the same of child j+1."""
-    counts = [e // params.step for e in to_dyck(t, params).entries]
-    if direction not in ("right", "left"):
-        raise ValueError("direction must be 'right' or 'left', got %r"
-                         % (direction,))
-    right, left, runs = _move_table(counts, params)
-    return [(_address(runs, node), position) for node, position, _, _
-            in (right if direction == "right" else left)]
-
-
-def compress(d: DyckTuple, site: Site, params: Params,
-             direction: str = "right") -> DyckTuple:
-    """Image of a k-rotation under the path encoding: the move's two-entry
-    edit from _move_table, -K at the earlier entry and +K at the later one
-    for direction "right" (the reverse for "left").  Builds no tree; a
-    site where the tree rotation fails raises the same SiteError."""
-    if direction not in ("right", "left"):
-        raise ValueError("direction must be 'right' or 'left', got %r"
-                         % (direction,))
-    address, position = site
-    _check_step(d, params)
-    m = params.m
-    right, left, runs = _move_table([e // d.step for e in d.entries], params)
-    # Child 1 of a node is node + 1, or a leaf where the node ends its run
-    nodes = {(parent, index): top for top, parent, index in runs}
-    tops = {top for top, _, _ in runs} | {len(d.entries) // d.step}
-    node = 0 if d.entries else None  # None: a leaf
-    for index in address:
-        if node is None or not 1 <= index <= m:
-            raise SiteError("address %r does not resolve" % (address,))
-        node = (node + 1 if index == 1 and node + 1 not in tops
-                else nodes.get((node, index)))
-    if node is None:
-        raise SiteError("no %d-ary node at address %r" % (m, address))
-    if not 1 <= position <= m - 1:
-        raise SiteError("child position must be in [1, %d], got %d"
-                        % (m - 1, position))
-    shift = params.modulus if direction == "right" else -params.modulus
-    for v, j, lo, hi in (right if direction == "right" else left):
-        if v == node and j == position:
-            entries = list(d.entries)
-            entries[lo] -= shift
-            entries[hi] += shift
-            return DyckTuple(tuple(entries), d.step)
-    raise SiteError("child %d at %r has no chain of %d internal nodes"
-                    % (position + (direction == "left"), address, params.k))
 
 
 def is_minimal(d: DyckTuple, params: Params) -> bool:

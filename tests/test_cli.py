@@ -306,6 +306,56 @@ def test_table_json_counts_are_strings(run):
     assert records == [{"m": 2, "k": 2, "length": 5, "count": "16"}]
 
 
+def test_records_print_as_json_dumps_would(run):
+    # The commands write their records by hand, without the json module,
+    # which is the oracle here: equiv with both verdicts, canon in every
+    # --out format, and table's JSON lines.
+    rng = random.Random(21)
+    verdicts = set()
+    for _ in range(40):
+        m, k = rng.randint(2, 4), rng.randint(1, 3)
+        params = fusscat.Params(m, k)
+        trees = list(fusscat.enumerate_trees(params, 1 + (m - 1)
+                                             * rng.randint(0, 5)))
+        left, right = (fusscat.unparse(rng.choice(trees)) for _ in "lr")
+        code, out, _ = run("equiv", "--m", str(m), "--k", str(k), left, right)
+        record = json.loads(out)
+        verdicts.add(record["equivalent"])
+        assert (code, out) == (1 - record["equivalent"],
+                               json.dumps(record) + "\n")
+        for fmt in cli._WRITE_FORMATS:
+            code, out, _ = run("canon", "--m", str(m), "--k", str(k),
+                               "--out", fmt, left)
+            assert (code, out) == (0, json.dumps(json.loads(out)) + "\n")
+    assert verdicts == {True, False}
+    code, out, _ = run("table", "--m-range", "2..4", "--k-range", "1..3",
+                       "--length-range", "0..30", "--format", "json")
+    assert code == 0
+    assert out == "".join(json.dumps(json.loads(line)) + "\n"
+                          for line in out.splitlines())
+
+
+def test_the_record_writer_is_json_dumps_on_seeded_records():
+    # Any subset of the kinds of value the records hold, in any order:
+    # a verdict, writer text, counts, signatures and pairs of them.
+    rng = random.Random(21)
+
+    def ints(most):
+        return [rng.randint(0, 10**rng.randint(0, 30))
+                for _ in range(rng.randint(0, most))]
+
+    for _ in range(300):
+        values = {"equivalent": rng.random() < 0.5,
+                  "canonical": "".join(rng.choices("x0123456789*()NS,",
+                                                   k=rng.randint(0, 12))),
+                  "length": rng.randint(0, 99),
+                  "signature": ints(4),
+                  "signatures": [ints(3) for _ in range(rng.randint(0, 2))]}
+        record = {key: values[key] for key in
+                  rng.sample(sorted(values), rng.randint(0, len(values)))}
+        assert cli._json(record) == json.dumps(record)
+
+
 def test_table_skips_lengths_with_no_trees(run):
     code, out, _ = run("table", "--m-range", "3", "--k-range", "1",
                        "--length-range", "1")
@@ -374,6 +424,34 @@ def test_verify_skips_classes_over_budget(run, monkeypatch):
     assert "m=3 k=2 length=4 formula=3 brute=3 classes=3 ok" in lines
 
 
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                    reason="reads the peak RSS from /proc")
+def test_verify_classes_at_the_budget_edge_builds_no_tree():
+    # (2, 3, 13) has 742,900 trees, the most the default budget admits at
+    # m = 2.  The classes route holds one residue key per class: building
+    # the classes there took 286 MiB peak RSS.  The child reads its own
+    # peak, VmHWM in KiB: ru_maxrss would keep the peak of this process,
+    # from which the child was forked.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("FUSSCAT_BUDGET", None)
+    code = ("import sys\n"
+            "from fusscat.cli import main\n"
+            "code = main(['verify', '--m-range', '2', '--k-range', '3', "
+            "'--max-length', '13', '--classes'])\n"
+            "for line in open('/proc/self/status'):\n"
+            "    if line.startswith('VmHWM:'):\n"
+            "        print(line.split()[1], file=sys.stderr)\n"
+            "sys.exit(code)")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-2:] == [
+        "m=2 k=3 length=13 formula=143365 brute=143365 classes=143365 ok",
+        "checked 13 cells, 0 mismatches"]
+    assert int(done.stderr) < 64 * 1024
+
+
 def test_verify_skips_the_brute_over_budget(run):
     # Catalan(30) tuples would never finish; the default budget stops the
     # brute at L = 14 and the formula still runs in every cell.
@@ -389,21 +467,17 @@ def test_verify_skips_the_brute_over_budget(run):
     assert "m=2 k=2 length=30 formula=%d brute=skipped ok" % 2**29 in lines
 
 
-@pytest.mark.parametrize("route,name,argv,cell", [
-    ("formula", "modular_fuss_catalan", (), "formula=2 brute=1 MISMATCH"),
-    ("brute", "count_minimal_brute", (), "formula=1 brute=2 MISMATCH"),
-    ("classes", "enumerate_classes", ("--classes",),
-     "formula=1 brute=1 classes=2 MISMATCH"),
+@pytest.mark.parametrize("name,argv,cell", [
+    ("modular_fuss_catalan", (), "formula=2 brute=1 MISMATCH"),
+    ("count_minimal_brute", (), "formula=1 brute=2 MISMATCH"),
+    ("_count_classes", ("--classes",), "formula=1 brute=1 classes=2 MISMATCH"),
 ], ids=["formula", "brute", "classes"])
-def test_verify_reports_mismatches(run, monkeypatch, route, name, argv, cell):
-    # One route counts one class too many at L = 2 (3 leaves for classes)
+def test_verify_reports_mismatches(run, monkeypatch, name, argv, cell):
+    # One route counts one class too many at L = 2
     right = getattr(fusscat.counting, name)
 
-    def wrong(params, size):
-        value = right(params, size)
-        if size != (3 if route == "classes" else 2):
-            return value
-        return value * 2 if route == "classes" else value + 1
+    def wrong(params, length):
+        return right(params, length) + (length == 2)
 
     monkeypatch.setattr(fusscat.counting, name, wrong)
     code, out, _ = run("verify", "--m-range", "2", "--k-range", "1",

@@ -408,7 +408,7 @@ def test_a_closure_that_is_not_the_class_is_an_internal_error(change):
     # The closure of the representative must reach exactly the members it
     # is given: here (6,0,0,0,0,0)'s three, with a stray tuple added or a
     # member dropped.
-    from fusscat.dyck import _traces
+    from fusscat.rotation import _traces
 
     reports = fc.enumerate_classes(P32, 7)
     rep = _runs(reports[-1].representative)
@@ -472,7 +472,7 @@ def test_traced_classes_are_frozen():
 def _reference_classes(params, leaves, with_traces):
     """The route that decodes each member on its own: enumerate the
     tuples, group them by signature, decode the members with from_dyck."""
-    from fusscat.dyck import _traces
+    from fusscat.rotation import _traces
 
     groups = {}
     for d in fc.enumerate_tuples(params, leaves - 1):
@@ -532,6 +532,34 @@ def test_enumerate_classes_budget():
     with pytest.raises(fc.BudgetError):
         fc.enumerate_classes(P32, 7, budget=5)
     assert len(fc.enumerate_classes(P32, 7, budget=12)) == 10
+
+
+def test_the_classes_route_counts_what_enumerate_classes_lists():
+    from fusscat.counting import _count_classes
+
+    for params in GRID_PARAMS:
+        for leaves in valid_leaf_counts(params, 11):
+            assert _count_classes(params, leaves - 1) == len(
+                fc.enumerate_classes(params, leaves)), (params, leaves)
+
+
+@pytest.mark.parametrize("length,budget", [(6, 5), (6, 11), (21, None),
+                                           (10**12, 10)])
+def test_the_classes_route_keeps_the_tree_budget(length, budget, monkeypatch):
+    # The same refusal, word for word, before any tuple is walked.
+    import fusscat.dyck
+    from fusscat.counting import _count_classes
+
+    with pytest.raises(fc.BudgetError) as expected:
+        fc.enumerate_classes(fc.Params(2, 2), length + 1, budget=budget)
+
+    def refuse(*args):
+        raise AssertionError("tuples walked past the budget")
+
+    monkeypatch.setattr(fusscat.dyck, "_entry_lists", refuse)
+    with pytest.raises(fc.BudgetError, match="^%s$"
+                       % re.escape(str(expected.value))):
+        _count_classes(fc.Params(2, 2), length, budget)
 
 
 def test_enumerate_classes_checks_the_budget_before_building(monkeypatch):

@@ -502,7 +502,7 @@ def test_rotation_sites_are_the_sites_rotate_accepts():
 
 
 def test_address_of_each_node_is_its_address_in_preorder():
-    from fusscat.dyck import _address, _move_table
+    from fusscat.rotation import _address, _move_table
 
     for params in GRID_PARAMS:
         for leaves in valid_leaf_counts(params, 9):
@@ -516,7 +516,7 @@ def test_address_of_each_node_is_its_address_in_preorder():
 
 def _edits(d, params):
     """(direction, site, edited entries) of every move _move_table lists."""
-    from fusscat.dyck import _address, _move_table
+    from fusscat.rotation import _address, _move_table
 
     right, left, runs = _move_table([e // d.step for e in d], params)
     for direction, moves, shift in (("right", right, params.modulus),

@@ -9,6 +9,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 import fusscat
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(fusscat.__file__)))
@@ -92,3 +94,35 @@ def test_unknown_attribute_is_an_attribute_error():
         "import fusscat\n"
         "print(hasattr(fusscat, 'no_such_name'))")
     assert (printed, loaded) == (["False"], ["fusscat"])
+
+
+_TEXT_LAYERS = ["fusscat", "fusscat.cli", "fusscat.dyck", "fusscat.errors",
+                "fusscat.expr", "fusscat.params"]
+
+
+@pytest.mark.parametrize("argv,printed", [
+    (["equiv", "--m", "3", "--k", "2", "(x1*x2*x3)*x4*x5", "x1*x2*x3*x4*x5"],
+     ['{"equivalent": true, "signatures": [[0, 0, 0], [0, 0, 0]], '
+      '"canonical": "x1*x2*x3*x4*x5"}', "0"]),
+    (["canon", "--m", "2", "--k", "2", "x1*(x2*x3)"],
+     ['{"canonical": "x1*(x2*x3)", "signature": [1]}', "0"]),
+    (["convert", "--m", "3", "--from", "expr", "--to", "tuple",
+      "x1*x2*(x3*x4*x5)"], ["(2,0,2,0)", "0"]),
+], ids=["equiv", "canon", "convert"])
+def test_text_commands_load_the_tuple_and_text_layers_only(argv, printed):
+    # No tree, rotation or counting module, and no json: the records are
+    # written by hand.
+    assert _fresh("import fusscat.cli\n"
+                  "code = fusscat.cli.main(%r)\n"
+                  "print(code)" % (argv,)) == (printed, _TEXT_LAYERS)
+
+
+def test_verify_classes_loads_the_walker_and_no_tree():
+    printed, loaded = _fresh(
+        "import fusscat.cli\n"
+        "code = fusscat.cli.main(['verify', '--m-range', '2..3', "
+        "'--k-range', '2', '--max-length', '6', '--classes'])\n"
+        "print(code)")
+    assert printed[-2:] == ["checked 9 cells, 0 mismatches", "0"]
+    assert loaded == ["fusscat", "fusscat.cli", "fusscat.counting",
+                      "fusscat.dyck", "fusscat.errors", "fusscat.params"]
