@@ -18,8 +18,7 @@ _HOMES = {name: module for module, names in (
                  "eval_recursive")),
     ("counting", ("ClassReport", "PrefixedWord", "count_minimal_brute",
                   "cyclic_shift", "enumerate_classes",
-                  "enumerate_prefixed_words", "fuss_catalan",
-                  "modular_fuss_catalan")),
+                  "enumerate_prefixed_words")),
     ("dyck", ("DyckTuple", "canonicalize", "depth_to_tuple", "enumerate_trees",
               "enumerate_tuples", "equivalent", "from_dyck", "is_minimal",
               "parse_dyck", "print_dyck", "signature", "to_dyck")),
@@ -27,6 +26,7 @@ _HOMES = {name: module for module, names in (
                 "FusscatError", "InternalInvariantError", "ParseError",
                 "SiteError", "SizeError")),
     ("expr", ("parse", "unparse")),
+    ("formula", ("fuss_catalan", "modular_fuss_catalan")),
     ("params", ("Params",)),
     ("rotation", ("compress", "rotation_sites")),
     ("tree", ("DepthMatrix", "Tree", "depth_matrix", "leaf", "left_assoc_meet",

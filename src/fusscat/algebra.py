@@ -11,8 +11,6 @@ k-equivalence of trees.  Only residue arithmetic is performed; w is
 never given a numeric value.
 """
 
-from __future__ import annotations
-
 from .errors import FormatError, SizeError
 from .params import Params, _Record
 from .tree import DepthMatrix, Tree, _arity_error

@@ -9,14 +9,17 @@ expression argument of "-" reads one line from stdin.
 
 Each command imports the layers it uses when it runs, so a process
 loads (and without bytecode caches compiles) only what its command
-needs; no command loads the tree layer or json, as _json writes the
-records.
+needs: `count` and `table` load the formula module alone, and no command
+loads the tree layer or json, as _json writes the records.  One table,
+_COMMANDS, declares every command's arguments.  _plain reads an ordinary
+command line from it: the command, its options spelled in full and each
+given once, then its positionals.  Any other argv, and help and
+--version, go to argparse, which is imported only then and builds its
+parser from the same table, so its help and error text are its own.
 """
 
-from __future__ import annotations
-
-import argparse
 import sys
+from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -32,6 +35,8 @@ def _int_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
     span = range(int(lo), int(hi if sep else lo) + 1)
     if not span:
+        import argparse
+
         raise argparse.ArgumentTypeError("empty range %s (LO > HI)" % text)
     return span
 
@@ -46,13 +51,13 @@ _READ_FORMATS = ("expr", "dyck")
 _WRITE_FORMATS = ("expr", "tuple", "ns")
 
 
-def _read(text: str, fmt: str, params: Params) -> DyckTuple:
+def _read(text: str, fmt: str, params: Params) -> "DyckTuple":
     from . import dyck, expr
 
     return (expr._read if fmt == "expr" else dyck.parse_dyck)(text, params)
 
 
-def _render(d: DyckTuple, fmt: str, params: Params) -> str:
+def _render(d: "DyckTuple", fmt: str, params: Params) -> str:
     from . import dyck, expr
 
     if fmt == "expr":
@@ -71,12 +76,13 @@ def _json(record: dict) -> str:
 
 
 def _cmd_count(args) -> int:
-    from . import counting
+    if args.brute:
+        from .counting import count_minimal_brute as route
+    else:
+        from .formula import modular_fuss_catalan as route
 
     params = Params(args.m, args.k)
     length = args.length if args.length is not None else args.leaves - 1
-    route = (counting.count_minimal_brute if args.brute
-             else counting.modular_fuss_catalan)
     print(route(params, length))
     return 0
 
@@ -121,7 +127,7 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    from . import counting
+    from .formula import modular_fuss_catalan
 
     rows = []
     for m in args.m_range:
@@ -131,7 +137,7 @@ def _cmd_table(args) -> int:
                 if not params.fits(length):
                     continue
                 rows.append((m, k, length,
-                             counting.modular_fuss_catalan(params, length)))
+                             modular_fuss_catalan(params, length)))
     if args.format == "csv":
         print("m,k,length,count")
         for m, k, length, count in rows:
@@ -176,7 +182,93 @@ def _cmd_verify(args) -> int:
     return 1 if mismatches else 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+_MK = [("--m", dict(type=int, required=True, help="arity (>= 2)")),
+       ("--k", dict(type=int, required=True,
+                    help="associativity degree (>= 1)"))]
+_RANGES = [(flag, dict(type=_int_range, required=True, metavar="LO..HI"))
+           for flag in ("--m-range", "--k-range", "--length-range")]
+
+# Each command's function, help, arguments (as add_argument takes them,
+# in the order argparse adds them) and required one-of group of options.
+_COMMANDS = {
+    "count": (_cmd_count, "number of equivalence classes", _MK + [
+        ("--length", dict(type=int, help="tuple length L")),
+        ("--leaves", dict(type=int, help="leaf count N (= L + 1)")),
+        ("--brute", dict(action="store_true",
+                         help="count by enumeration instead of the formula"))],
+        ("--length", "--leaves")),
+    "equiv": (_cmd_equiv, "test two expressions for equivalence",
+              _MK + [("left", {}), ("right", {})], ()),
+    "canon": (_cmd_canon, "canonical form of an expression or path", _MK + [
+        ("--in", dict(dest="in_format", choices=_READ_FORMATS,
+                      default="expr")),
+        ("--out", dict(dest="out_format", choices=_WRITE_FORMATS,
+                       default="expr")),
+        ("input", {})], ()),
+    "convert": (_cmd_convert, "convert between representations", _MK[:1] + [
+        ("--from", dict(dest="from_format", required=True,
+                        choices=_READ_FORMATS)),
+        ("--to", dict(dest="to_format", required=True,
+                      choices=_WRITE_FORMATS)),
+        ("input", {})], ()),
+    "table": (_cmd_table, "count table over parameter ranges", _RANGES + [
+        ("--format", dict(choices=("csv", "json"), default="csv"))], ()),
+    "verify": (_cmd_verify, "cross-check formula against brute force",
+               _RANGES[:2] + [
+                   ("--max-length", dict(type=int, required=True)),
+                   ("--classes", dict(action="store_true", help="also "
+                       "enumerate classes where the budget allows"))], ()),
+}
+
+
+def _dashed(text: str) -> bool:
+    return text[:1] == "-" and text != "-"
+
+
+def _plain(argv: list[str]) -> "SimpleNamespace | None":
+    """What argparse returns for the command, then its options, spelled
+    in full and each given once, then its positionals, with every value
+    valid and no token but a lone "-" starting with "-"; None for any
+    other argv, which argparse reads instead."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, arguments, one_of = _COMMANDS[argv[0]]
+    options = {flag: kw for flag, kw in arguments if flag[0] == "-"}
+    names = [flag for flag, _ in arguments if flag[0] != "-"]
+    given, at = {}, 1
+    while at < len(argv) and _dashed(argv[at]):
+        flag, kw = argv[at], options.get(argv[at])
+        if kw is None or flag in given:
+            return None
+        if "action" in kw:  # store_true
+            given[flag], at = True, at + 1
+            continue
+        if at + 1 == len(argv) or _dashed(argv[at + 1]):
+            return None
+        try:
+            value = kw.get("type", str)(argv[at + 1])
+        except Exception:  # argparse calls it again, and reports it
+            return None
+        if value not in kw.get("choices", [value]):
+            return None
+        given[flag], at = value, at + 2
+    if (len(argv) - at != len(names) or any(map(_dashed, argv[at:]))
+            or any(kw.get("required") and flag not in given
+                   for flag, kw in options.items())
+            or one_of and sum(flag in given for flag in one_of) != 1):
+        return None
+    args = {kw.get("dest", flag[2:].replace("-", "_")): given.get(
+                flag, kw.get("default", False if "action" in kw else None))
+            for flag, kw in options.items()}
+    return SimpleNamespace(command=argv[0], func=func, **args,
+                           **dict(zip(names, argv[at:])))
+
+
+def _build_parser(command: "str | None" = None):
+    """argparse's parser over _COMMANDS: in full, or with the arguments of
+    the named command only; the usage and help name every command."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="fusscat",
         description="Canonical forms and exact counting for k-associative "
@@ -184,70 +276,20 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version",
                         version="fusscat %s" % __version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--m", type=int, required=True, help="arity (>= 2)")
-        p.add_argument("--k", type=int, required=True,
-                       help="associativity degree (>= 1)")
-
-    p = sub.add_parser("count", help="number of equivalence classes")
-    common(p)
-    size = p.add_mutually_exclusive_group(required=True)
-    size.add_argument("--length", type=int, help="tuple length L")
-    size.add_argument("--leaves", type=int, help="leaf count N (= L + 1)")
-    p.add_argument("--brute", action="store_true",
-                   help="count by enumeration instead of the formula")
-    p.set_defaults(func=_cmd_count)
-
-    p = sub.add_parser("equiv", help="test two expressions for equivalence")
-    common(p)
-    p.add_argument("left")
-    p.add_argument("right")
-    p.set_defaults(func=_cmd_equiv)
-
-    p = sub.add_parser("canon", help="canonical form of an expression or path")
-    common(p)
-    p.add_argument("--in", dest="in_format", choices=_READ_FORMATS,
-                   default="expr")
-    p.add_argument("--out", dest="out_format", choices=_WRITE_FORMATS,
-                   default="expr")
-    p.add_argument("input")
-    p.set_defaults(func=_cmd_canon)
-
-    p = sub.add_parser("convert", help="convert between representations")
-    p.add_argument("--m", type=int, required=True, help="arity (>= 2)")
-    p.add_argument("--from", dest="from_format", required=True,
-                   choices=_READ_FORMATS)
-    p.add_argument("--to", dest="to_format", required=True,
-                   choices=_WRITE_FORMATS)
-    p.add_argument("input")
-    p.set_defaults(func=_cmd_convert)
-
-    p = sub.add_parser("table", help="count table over parameter ranges")
-    p.add_argument("--m-range", type=_int_range, required=True,
-                   metavar="LO..HI")
-    p.add_argument("--k-range", type=_int_range, required=True,
-                   metavar="LO..HI")
-    p.add_argument("--length-range", type=_int_range, required=True,
-                   metavar="LO..HI")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.set_defaults(func=_cmd_table)
-
-    p = sub.add_parser("verify", help="cross-check formula against brute force")
-    p.add_argument("--m-range", type=_int_range, required=True,
-                   metavar="LO..HI")
-    p.add_argument("--k-range", type=_int_range, required=True,
-                   metavar="LO..HI")
-    p.add_argument("--max-length", type=int, required=True)
-    p.add_argument("--classes", action="store_true",
-                   help="also enumerate classes where the budget allows")
-    p.set_defaults(func=_cmd_verify)
-
+    for name, (func, help, arguments, one_of) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help)
+        if command in (name, None):
+            group = one_of and p.add_mutually_exclusive_group(required=True)
+            for flag, kw in arguments:
+                (group if flag in one_of else p).add_argument(flag, **kw)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _plain(argv) or _build_parser(
+        argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     # A count may have more digits than Python (3.11 on) converts to text
     # by default, so the commands that print counts lift that limit.
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()

@@ -1,17 +1,10 @@
-"""Exact counting of k-equivalence classes, with brute-force cross-checks.
+"""Brute-force class counts and class enumeration, the cross-checks of
+the closed formula in `formula`.
 
-With L = N-1 >= 1 down-steps and n = L/(m-1) internal nodes, the class
-count is one alternating sum with one exact division:
-
-    [sum over i in 0..floor(n/k) of (-1)^i (n-ik) C(L,i) C(mn-ik, L)]
-    / (n (L+1))
-
-This is the paper's sum, over the first up-run l, of the cycle fraction
-l/L times the words with that run, in closed form; for k >= n only the
-i = 0 term is left, fuss_catalan(m, L+1).  The words stay the proof
+The formula is the paper's sum, over the first up-run l, of the cycle
+fraction l/L times the words with that run.  The words stay the proof
 device: `enumerate_prefixed_words` lists them for criterion 09, with
 the one lexicographic walker that dyck lists path tuples with.
-At L = 0 (a single operand) the count is 1.
 
 Everything here is exact integer arithmetic; the brute-force routines
 exist so the formula is never the only route to a number, and refuse to
@@ -24,19 +17,16 @@ node-count string, and reads each minimal tuple off that key.
 walker's tuples by their residues instead and builds no tree.
 """
 
-from __future__ import annotations
-
 import os
-from math import comb
 from typing import TYPE_CHECKING, Iterator, Optional
 
-from .errors import (ArityError, BudgetError, DomainError, FormatError,
-                     InternalInvariantError)
+from .errors import ArityError, BudgetError, DomainError, FormatError
+from .formula import fuss_catalan, modular_fuss_catalan  # verify's route
 from .params import Params, _Record
 
 # The functions that walk trees or tuples import the tree and tuple
-# layers when they run, so the formula alone loads neither; here they
-# are imported for type checkers only.
+# layers when they run, so verify's formula and brute load neither; here
+# they are imported for type checkers only.
 if TYPE_CHECKING:
     from .dyck import DyckTuple
     from .tree import Tree
@@ -45,54 +35,6 @@ RotationStep = tuple[str, tuple[int, ...], int]  # (direction, address, position
 
 DEFAULT_BUDGET = 1_000_000
 BUDGET_ENV_VAR = "FUSSCAT_BUDGET"
-
-# The most work the formulas take on, in units of terms * L^2: a sum of
-# T terms at length L multiplies binomials of about L bits, which costs
-# about L^2 bit operations each.  At the limit a count takes some
-# seconds: (2, 1, 4000) ran in 5.6 s and fuss_catalan at L = 3 * 10^5
-# in 6.1 s on a 2-core VM, with Python 3.11.
-FORMULA_WORK_LIMIT = 2**36
-
-
-def _check_work(length: int, terms: int) -> None:
-    """Refuse a formula whose estimated work passes FORMULA_WORK_LIMIT;
-    integer arithmetic only, before any binomial."""
-    work = terms * length * length
-    if work > FORMULA_WORK_LIMIT:
-        raise DomainError("length %d is past the formula's work limit: "
-                          "terms * length**2 = %d > %d"
-                          % (length, work, FORMULA_WORK_LIMIT))
-
-
-def fuss_catalan(m: int, leaves: int) -> int:
-    """Number of m-ary trees with the given leaf count; refuses a count
-    past FORMULA_WORK_LIMIT."""
-    Params(m, 1).check_length(leaves - 1)
-    _check_work(leaves - 1, 1)
-    n = (leaves - 1) // (m - 1)  # internal nodes
-    q, r = divmod(comb(m * n, n), (m - 1) * n + 1)
-    if r:
-        raise InternalInvariantError("binom(%d,%d) not divisible by %d"
-                                     % (m * n, n, (m - 1) * n + 1))
-    return q
-
-
-def modular_fuss_catalan(params: Params, length: int) -> int:
-    """Number of k-equivalence classes of tuples of the given length;
-    refuses a sum past FORMULA_WORK_LIMIT."""
-    params.check_length(length)
-    if length == 0:
-        return 1  # the bare operand
-    k, n = params.k, length // params.step  # n internal nodes
-    _check_work(length, n // k + 1)
-    total = sum((-1) ** i * (n - i * k) * comb(length, i)
-                * comb(params.m * n - i * k, length)
-                for i in range(n // k + 1))
-    q, r = divmod(total, n * (length + 1))
-    if r:
-        raise InternalInvariantError("class sum is not divisible by "
-                                     "n(L+1) = %d" % (n * (length + 1)))
-    return q
 
 
 def _check_budget(params: Params, length: int, budget: Optional[int]) -> None:
@@ -147,8 +89,8 @@ class ClassReport(_Record):
 
     __slots__ = ("representative", "size", "members", "traces")
 
-    def __init__(self, representative: DyckTuple, size: int,
-                 members: tuple[Tree, ...],
+    def __init__(self, representative: "DyckTuple", size: int,
+                 members: "tuple[Tree, ...]",
                  traces: Optional[tuple[tuple[RotationStep, ...], ...]] = None):
         object.__setattr__(self, "representative", representative)
         object.__setattr__(self, "size", size)
@@ -231,7 +173,7 @@ class PrefixedWord(_Record):
                 return False
         return True
 
-    def to_dyck_tuple(self, params: Params) -> DyckTuple:
+    def to_dyck_tuple(self, params: Params) -> "DyckTuple":
         """The word as a path tuple; only Dyck words convert (the last
         tail run must be empty)."""
         from .dyck import DyckTuple

@@ -25,8 +25,6 @@ entries after the first are all < K.  Only the functions that build or
 refuse a tree load the tree module, through _tree, when they first run.
 """
 
-from __future__ import annotations
-
 from typing import TYPE_CHECKING, Iterator, Sequence, Union
 
 from .errors import FormatError, InternalInvariantError, SizeError
@@ -127,7 +125,7 @@ def _entry_lists(floors: Sequence[int], top: int,
         done += s
 
 
-def to_dyck(t: Tree, params: Params) -> DyckTuple:
+def to_dyck(t: "Tree", params: Params) -> DyckTuple:
     """Encode a tree as its path tuple: walking it in preorder, each
     internal node adds m-1 to the current up-run and each leaf but the
     last ends the run with a down-step.  A tree that from_dyck decoded
@@ -152,7 +150,7 @@ def to_dyck(t: Tree, params: Params) -> DyckTuple:
     return DyckTuple(entries, s)
 
 
-def from_dyck(d: DyckTuple, params: Params) -> Tree:
+def from_dyck(d: DyckTuple, params: Params) -> "Tree":
     """The tree encoded by a valid tuple; inverse of to_dyck.
 
     Decoding is lazy: the root keeps d and builds its children on first
@@ -173,13 +171,13 @@ def from_dyck(d: DyckTuple, params: Params) -> Tree:
     return _tree._Decoded(d)
 
 
-def enumerate_trees(params: Params, leaves: int) -> Iterator[Tree]:
+def enumerate_trees(params: Params, leaves: int) -> "Iterator[Tree]":
     """Every tree with the given number of leaves, in the order of their
     tuples from enumerate_tuples, which checks the size at the call."""
     return (from_dyck(d, params) for d in enumerate_tuples(params, leaves - 1))
 
 
-def _coded_trees(params: Params, length: int) -> tuple[list[str], list[Tree]]:
+def _coded_trees(params: Params, length: int) -> "tuple[list[str], list[Tree]]":
     """(runs, trees) of every tree of the given length, at one index
     each; the caller checks the size.  Runs hold one character per leaf,
     the nodes that open just before it in preorder (its entry over s,
@@ -303,7 +301,7 @@ def _minimal(tail: Sequence[int], length: int, step: int) -> DyckTuple:
             % (tuple(tail), exc)) from exc
 
 
-def equivalent(a: Union[DyckTuple, Tree], b: Union[DyckTuple, Tree],
+def equivalent(a: "Union[DyckTuple, Tree]", b: "Union[DyckTuple, Tree]",
                params: Params) -> bool:
     """Whether two tuples or trees lie in the same k-equivalence class.
 

@@ -1,7 +1,5 @@
 """Exception types shared across the package."""
 
-from __future__ import annotations
-
 
 class FusscatError(Exception):
     """Base class for all errors raised by this package."""
@@ -49,7 +47,8 @@ class DomainError(FusscatError):
 
 
 class BudgetError(FusscatError):
-    """An enumeration would exceed the configured object budget."""
+    """An enumeration would exceed the configured object budget, or a
+    closed formula its fixed work limit (formula.FORMULA_WORK_LIMIT)."""
 
 
 class InternalInvariantError(FusscatError):

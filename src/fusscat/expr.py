@@ -23,8 +23,6 @@ also inlines a first child whose subtree is a plain chain of leaves,
 the paren omission the left-associative reading recovers by itself.
 """
 
-from __future__ import annotations
-
 import re
 from itertools import islice
 from typing import TYPE_CHECKING
@@ -146,13 +144,13 @@ def _write(entries: tuple[int, ...], m: int, style: str) -> str:
     return "*".join(out)
 
 
-def parse(text: str, params: Params) -> Tree:
+def parse(text: str, params: Params) -> "Tree":
     """Parse an expression into its tree; variable names are discarded
     (only the shape matters)."""
     return from_dyck(_read(text, params), params)
 
 
-def unparse(t: Tree, style: str = "minimal") -> str:
+def unparse(t: "Tree", style: str = "minimal") -> str:
     """Render a tree with leaves named x1..xN left to right.
 
     Both styles parse back to the same tree; the minimal style is

@@ -6,8 +6,6 @@ moves shift a window of operands by k(m-1) positions, so all modular
 arithmetic happens mod k(m-1).
 """
 
-from __future__ import annotations
-
 import sys
 
 from .errors import ArityError, DomainError

@@ -7,8 +7,6 @@ compress applies one, and _traces closes a class under them.  Only these
 need the moves, so the tuple and text layers never load this module.
 """
 
-from __future__ import annotations
-
 from bisect import bisect
 from typing import TYPE_CHECKING, Iterable
 
@@ -109,7 +107,7 @@ def _traces(seed: str, members: list[str], params: Params) -> tuple:
     return tuple(map(traces.__getitem__, members))
 
 
-def rotation_sites(t: Tree, params: Params, direction: str = "right") -> list[Site]:
+def rotation_sites(t: "Tree", params: Params, direction: str = "right") -> "list[Site]":
     """All (address, j) pairs where a k-rotation in the given direction
     applies, ordered by address (lexicographic) then j.
 
@@ -124,7 +122,7 @@ def rotation_sites(t: Tree, params: Params, direction: str = "right") -> list[Si
             in (right if direction == "right" else left)]
 
 
-def compress(d: DyckTuple, site: Site, params: Params,
+def compress(d: DyckTuple, site: "Site", params: Params,
              direction: str = "right") -> DyckTuple:
     """Image of a k-rotation under the path encoding: the move's two-entry
     edit from _move_table, -K at the earlier entry and +K at the later one

@@ -18,8 +18,6 @@ so the whole subtree still covers m + k(m-1) operands.  The left
 k-rotation is the exact inverse, keyed on child position j+1.
 """
 
-from __future__ import annotations
-
 from .errors import ArityError, FormatError, SiteError
 from .params import Params, _Record
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 import os
@@ -15,6 +16,7 @@ import pytest
 import fusscat.cli as cli
 import fusscat.counting
 import fusscat.dyck
+import fusscat.formula
 import fusscat.tree
 from conftest import edit_once
 
@@ -467,6 +469,20 @@ def test_verify_skips_the_brute_over_budget(run):
     assert "m=2 k=2 length=30 formula=%d brute=skipped ok" % 2**29 in lines
 
 
+def test_verify_skips_the_formula_past_its_work_limit(run, monkeypatch):
+    # At k = 1 the sum has L + 1 terms: work 13 * 12**2 = 1872 <= 2000 at
+    # L = 12, and 14 * 13**2 = 2366 > 2000 at L = 13, where the brute
+    # still counts.
+    monkeypatch.setattr(fusscat.formula, "FORMULA_WORK_LIMIT", 2000)
+    code, out, err = run("verify", "--m-range", "2", "--k-range", "1",
+                         "--max-length", "13")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-3:] == [
+        "m=2 k=1 length=12 formula=1 brute=1 ok",
+        "m=2 k=1 length=13 formula=skipped brute=1 ok",
+        "checked 13 cells, 0 mismatches"]
+
+
 @pytest.mark.parametrize("name,argv,cell", [
     ("modular_fuss_catalan", (), "formula=2 brute=1 MISMATCH"),
     ("count_minimal_brute", (), "formula=1 brute=2 MISMATCH"),
@@ -534,6 +550,35 @@ def test_missing_subcommand_is_a_usage_error(run):
 def test_unknown_subcommand_is_a_usage_error(run):
     code, _, _ = run("frobnicate")
     assert code == 2
+
+
+# What the parent of the table-driven parser printed (code, stdout,
+# stderr) for the help of the top level and of each command, and for a
+# usage error of each, at 80 columns; argparse words its help and errors
+# differently from one Python version to the next.
+_HELP_AND_ERRORS = (
+    [["-h"]] + [[command, "-h"] for command in cli._COMMANDS] + [
+        [], ["frobnicate"], ["count", "--m", "3", "--k", "2"],
+        ["count", "--m", "3", "--k", "2", "--length", "6", "--bogus"],
+        ["equiv", "--m", "2", "--k", "2", "x1*x2"],
+        ["canon", "--m", "2", "--k", "2", "--in", "ns", "x"],
+        ["convert", "--m", "2", "--from", "expr", "x"],
+        ["table", "--m-range", "3..2", "--k-range", "1", "--length-range",
+         "1"],
+        ["verify", "--m-range", "2", "--k-range", "1", "--max-length", "x"]])
+_HELP_AND_ERRORS_DIGEST = {
+    (3, 11): "828c28f36ceafbb2d6c47f5c4ee924a514fb9e5610e0a3e7be57d1f30680e841",
+}
+
+
+def test_help_and_usage_errors_are_argparse_text_unchanged(run, monkeypatch):
+    want = _HELP_AND_ERRORS_DIGEST.get(sys.version_info[:2])
+    if want is None:
+        pytest.skip("no digest recorded for this Python version")
+    monkeypatch.setenv("COLUMNS", "80")
+    outs = [run(*argv) for argv in _HELP_AND_ERRORS]
+    assert all(code in (0, 2) for code, _, _ in outs)
+    assert hashlib.sha256(repr(outs).encode()).hexdigest() == want
 
 
 def test_unexpected_exception_exits_3(run, monkeypatch):
@@ -657,3 +702,30 @@ def test_fuzzed_argv_keep_the_exit_code_contract(run, monkeypatch):
                 (shown, err[:200])
         else:
             assert err == "", (shown, err[:200])
+
+
+def test_the_plain_reader_reads_as_argparse_does(capsys):
+    # Seeded argv over every command, half with two tokens swapped: each
+    # that the plain reader takes, argparse's full parser reads to the
+    # same namespace.  The rest go to argparse in main.
+    rng = random.Random(22)
+    parser = cli._build_parser()
+    taken = tried = 0
+    for _ in range(2500):
+        argv = _fuzz_argv(rng)
+        swapped = list(argv)
+        if len(argv) > 1:
+            i, j = rng.sample(range(len(argv)), 2)
+            swapped[i], swapped[j] = argv[j], argv[i]
+        for case in (argv, swapped):
+            tried += 1
+            plain = cli._plain(case)
+            if plain is None:
+                continue
+            taken += 1
+            try:
+                full = vars(parser.parse_args(case))
+            except SystemExit:
+                full = capsys.readouterr().err
+            assert vars(plain) == full, case
+    assert taken > tried // 4

@@ -188,23 +188,23 @@ def test_formula_agrees_with_ballot_dp_near_length_1000():
 ], ids=["fuss_catalan", "modular_fuss_catalan"])
 def test_a_formula_past_its_work_limit_is_refused_at_once(call):
     start = time.monotonic()
-    with pytest.raises(fc.DomainError, match="^length [0-9]+ is past the "
+    with pytest.raises(fc.BudgetError, match="^length [0-9]+ is past the "
                        "formula's work limit: terms \\* length\\*\\*2 = "):
         call()
     assert time.monotonic() - start < 1.0
 
 
 def test_the_work_limit_counts_terms_times_length_squared(monkeypatch):
-    import fusscat.counting
+    import fusscat.formula
 
     # At (2, 8, 8) the sum has n/k + 1 = 2 terms: work 2 * 8**2 = 128.
-    monkeypatch.setattr(fusscat.counting, "FORMULA_WORK_LIMIT", 128)
+    monkeypatch.setattr(fusscat.formula, "FORMULA_WORK_LIMIT", 128)
     assert fc.modular_fuss_catalan(fc.Params(2, 8), 8) == \
         fc.fuss_catalan(2, 9) == 1430
-    with pytest.raises(fc.DomainError, match="= 162 > 128$"):
+    with pytest.raises(fc.BudgetError, match="= 162 > 128$"):
         fc.modular_fuss_catalan(fc.Params(2, 9), 9)
     assert fc.fuss_catalan(2, 12) == 58786  # one term: 11**2 = 121
-    with pytest.raises(fc.DomainError, match="= 144 > 128$"):
+    with pytest.raises(fc.BudgetError, match="= 144 > 128$"):
         fc.fuss_catalan(2, 13)
 
 

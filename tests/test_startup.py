@@ -1,6 +1,7 @@
 """What a fresh interpreter loads: `import fusscat` loads none of the
-package's modules, and the CLI module leaves the layers, json and
-dataclasses to the commands that need them."""
+package's modules, the CLI module leaves the layers, json and
+dataclasses to the commands that need them, and argparse is loaded only
+for help, --version and a command line the plain reader leaves to it."""
 
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ import fusscat
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(fusscat.__file__)))
 
-WATCHED = ("dataclasses", "json")
+WATCHED = ("__future__", "argparse", "dataclasses", "json")
 
 
 def _fresh(statements: str) -> tuple[list[str], list[str]]:
@@ -26,7 +27,7 @@ def _fresh(statements: str) -> tuple[list[str], list[str]]:
             "m.startswith('fusscat.') or m in %r)\n"
             "import json\nprint(json.dumps(loaded))\n" % (WATCHED,))
     done = subprocess.run([sys.executable, "-c", code],
-                          env=dict(os.environ, PYTHONPATH=SRC),
+                          env=dict(os.environ, PYTHONPATH=SRC, COLUMNS="80"),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     *printed, loaded = done.stdout.splitlines()
@@ -49,8 +50,8 @@ def test_count_loads_only_the_formula():
         "'--length', '6'])\n"
         "print(code)")
     assert printed == ["10", "0"]
-    assert loaded == ["fusscat", "fusscat.cli", "fusscat.counting",
-                      "fusscat.errors", "fusscat.params"]
+    assert loaded == ["fusscat", "fusscat.cli", "fusscat.errors",
+                      "fusscat.formula", "fusscat.params"]
 
 
 def test_count_of_one_operand_loads_only_the_formula():
@@ -60,8 +61,8 @@ def test_count_of_one_operand_loads_only_the_formula():
         "'--leaves', '1'])\n"
         "print(code)")
     assert printed == ["1", "0"]
-    assert loaded == ["fusscat", "fusscat.cli", "fusscat.counting",
-                      "fusscat.errors", "fusscat.params"]
+    assert loaded == ["fusscat", "fusscat.cli", "fusscat.errors",
+                      "fusscat.formula", "fusscat.params"]
 
 
 def test_version_loads_no_layer():
@@ -72,8 +73,45 @@ def test_version_loads_no_layer():
         "except SystemExit as stop:\n"
         "    print(stop.code)")
     assert printed == ["fusscat 0.1.0", "0"]
-    assert loaded == ["fusscat", "fusscat.cli", "fusscat.errors",
+    assert loaded == ["argparse", "fusscat", "fusscat.cli", "fusscat.errors",
                       "fusscat.params"]
+
+
+_COUNT_HELP = """\
+usage: fusscat count [-h] --m M --k K (--length LENGTH | --leaves LEAVES)
+                     [--brute]
+
+options:
+  -h, --help       show this help message and exit
+  --m M            arity (>= 2)
+  --k K            associativity degree (>= 1)
+  --length LENGTH  tuple length L
+  --leaves LEAVES  leaf count N (= L + 1)
+  --brute          count by enumeration instead of the formula
+0""".splitlines()
+
+
+@pytest.mark.parametrize("argv,printed", [
+    (["count", "-h"], _COUNT_HELP),
+    (["count", "--m", "3", "--k", "2"], [
+        "usage: fusscat count [-h] --m M --k K (--length LENGTH | --leaves "
+        "LEAVES)", "                     [--brute]",
+        "fusscat count: error: one of the arguments --length --leaves is "
+        "required", "2"]),
+], ids=["help", "usage-error"])
+def test_help_and_usage_errors_load_argparse_and_no_layer(argv, printed):
+    if argv[1] == "-h" and sys.version_info < (3, 11):
+        printed = [line.replace("options:", "optional arguments:")
+                   for line in printed]
+    assert _fresh(
+        "import sys, fusscat.cli\n"
+        "sys.stderr = sys.stdout\n"
+        "try:\n"
+        "    fusscat.cli.main(%r)\n"
+        "except SystemExit as stop:\n"
+        "    print(stop.code)" % (argv,)) == (
+        printed, ["argparse", "fusscat", "fusscat.cli", "fusscat.errors",
+                  "fusscat.params"])
 
 
 def test_every_public_name_resolves_lazily():
@@ -125,4 +163,31 @@ def test_verify_classes_loads_the_walker_and_no_tree():
         "print(code)")
     assert printed[-2:] == ["checked 9 cells, 0 mismatches", "0"]
     assert loaded == ["fusscat", "fusscat.cli", "fusscat.counting",
-                      "fusscat.dyck", "fusscat.errors", "fusscat.params"]
+                      "fusscat.dyck", "fusscat.errors", "fusscat.formula",
+                      "fusscat.params"]
+
+
+@pytest.mark.parametrize("argv,printed,layers", [
+    (["count", "--m", "2", "--k", "2", "--length", "4", "--brute"],
+     ["8", "0"], ["fusscat.counting", "fusscat.formula"]),
+    (["table", "--m-range", "2..3", "--k-range", "1..2", "--length-range",
+      "4", "--format", "json"],
+     ['{"m": 2, "k": 1, "length": 4, "count": "1"}',
+      '{"m": 2, "k": 2, "length": 4, "count": "8"}',
+      '{"m": 3, "k": 1, "length": 4, "count": "1"}',
+      '{"m": 3, "k": 2, "length": 4, "count": "3"}', "0"],
+     ["fusscat.formula"]),
+    (["verify", "--m-range", "2", "--k-range", "2", "--max-length", "2"],
+     ["m=2 k=2 length=1 formula=1 brute=1 ok",
+      "m=2 k=2 length=2 formula=2 brute=2 ok",
+      "checked 2 cells, 0 mismatches", "0"],
+     ["fusscat.counting", "fusscat.formula"]),
+], ids=["count-brute", "table", "verify"])
+def test_counting_commands_load_the_formula_and_what_else_they_run(
+        argv, printed, layers):
+    # table loads the formula alone; the brute and verify add counting.
+    assert _fresh("import fusscat.cli\n"
+                  "code = fusscat.cli.main(%r)\n"
+                  "print(code)" % (argv,)) == (printed, sorted(
+                      ["fusscat", "fusscat.cli", "fusscat.errors",
+                       "fusscat.params"] + layers))
