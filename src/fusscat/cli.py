@@ -165,7 +165,6 @@ def _cmd_verify(args) -> int:
         for k in args.k_range:
             params = Params(m, k)
             for length in range(m - 1, args.max_length + 1, m - 1):
-                cells += 1
                 line = "m=%d k=%d length=%d" % (m, k, length)
                 values = set()  # of the routes that ran
                 for name, route in routes:
@@ -176,7 +175,11 @@ def _cmd_verify(args) -> int:
                     else:
                         line += " %s=%d" % (name, value)
                         values.add(value)
-                print(line + (" ok" if len(values) <= 1 else " MISMATCH"))
+                if not values:  # no route ran, so the cell is not checked
+                    print(line + " unchecked")
+                    continue
+                cells += 1
+                print(line + (" ok" if len(values) == 1 else " MISMATCH"))
                 mismatches += len(values) > 1
     print("checked %d cells, %d mismatches" % (cells, mismatches))
     return 1 if mismatches else 0
@@ -264,9 +267,8 @@ def _plain(argv: list[str]) -> "SimpleNamespace | None":
                            **dict(zip(names, argv[at:])))
 
 
-def _build_parser(command: "str | None" = None):
-    """argparse's parser over _COMMANDS: in full, or with the arguments of
-    the named command only; the usage and help name every command."""
+def _build_parser():
+    """argparse's parser over _COMMANDS."""
     import argparse
 
     parser = argparse.ArgumentParser(
@@ -278,18 +280,16 @@ def _build_parser(command: "str | None" = None):
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (func, help, arguments, one_of) in _COMMANDS.items():
         p = sub.add_parser(name, help=help)
-        if command in (name, None):
-            group = one_of and p.add_mutually_exclusive_group(required=True)
-            for flag, kw in arguments:
-                (group if flag in one_of else p).add_argument(flag, **kw)
+        group = one_of and p.add_mutually_exclusive_group(required=True)
+        for flag, kw in arguments:
+            (group if flag in one_of else p).add_argument(flag, **kw)
         p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = _plain(argv) or _build_parser(
-        argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
+    args = _plain(argv) or _build_parser().parse_args(argv)
     # A count may have more digits than Python (3.11 on) converts to text
     # by default, so the commands that print counts lift that limit.
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()

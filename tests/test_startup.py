@@ -100,9 +100,6 @@ options:
         "required", "2"]),
 ], ids=["help", "usage-error"])
 def test_help_and_usage_errors_load_argparse_and_no_layer(argv, printed):
-    if argv[1] == "-h" and sys.version_info < (3, 11):
-        printed = [line.replace("options:", "optional arguments:")
-                   for line in printed]
     assert _fresh(
         "import sys, fusscat.cli\n"
         "sys.stderr = sys.stdout\n"
