@@ -9,9 +9,10 @@ the one lexicographic walker that dyck lists path tuples with.
 Everything here is exact integer arithmetic; the brute-force routines
 exist so the formula is never the only route to a number, and refuse to
 start over budget.  `count_minimal_brute` walks only the minimal tuples,
-tail entries below K from the last one back.  `enumerate_classes` builds
-every tree once, over the smaller trees it holds, so the members of its
-classes share their subtrees; it keys each tree by one `translate` of its
+tail entries below K from the last one back, and budgets those tuples;
+the classes routes budget trees.  `enumerate_classes` builds every tree
+once, over the smaller trees it holds, so the members of its classes
+share their subtrees; it keys each tree by one `translate` of its
 node-count string, and reads each minimal tuple off that key.
 `verify --classes` needs only the number of classes, so it keys the
 walker's tuples by their residues instead and builds no tree.
@@ -37,10 +38,10 @@ DEFAULT_BUDGET = 1_000_000
 BUDGET_ENV_VAR = "FUSSCAT_BUDGET"
 
 
-def _check_budget(params: Params, length: int, budget: Optional[int]) -> None:
-    """Refuse a length that params does not allow, then refuse when the
-    m-ary trees of this length outnumber the budget; n internal nodes make
-    at least 2^(n-1) trees, so a large n needs no count."""
+def _budget(params: Params, length: int, budget: Optional[int]) -> int:
+    """Refuse a length that params does not allow, then give the budget:
+    the argument, else the FUSSCAT_BUDGET environment variable, else
+    DEFAULT_BUDGET."""
     params.check_length(length)
     if budget is None:
         raw = os.environ.get(BUDGET_ENV_VAR, DEFAULT_BUDGET)
@@ -49,8 +50,16 @@ def _check_budget(params: Params, length: int, budget: Optional[int]) -> None:
         except ValueError:
             raise DomainError("%s must be an integer, got %r"
                               % (BUDGET_ENV_VAR, raw)) from None
+    return int(budget)
+
+
+def _check_budget(params: Params, length: int, budget: Optional[int]) -> None:
+    """Refuse a length that params does not allow, then refuse when the
+    m-ary trees of this length outnumber the budget; n internal nodes make
+    at least 2^(n-1) trees, so a large n needs no count."""
+    budget = _budget(params, length, budget)
     n = length // params.step
-    if n > int(budget).bit_length():
+    if n > budget.bit_length():
         raise BudgetError("at least 2**%d trees exceed the budget of %d"
                           % (n - 1, budget))
     total = fuss_catalan(params.m, length + 1)
@@ -63,8 +72,23 @@ def count_minimal_brute(params: Params, length: int,
     """Count the minimal tuples, one class each, in about count * L steps:
     walk only their tails, from the last entry back, each entry a multiple
     of s below K, with the entries from index i on summing to at most L-i
-    (the path condition).  Refuses over budget like enumerate_classes."""
-    _check_budget(params, length, budget)
+    (the path condition).  Refuses to start when the tuples it may walk,
+    at most min(trees, k^(L-1)), or the L entries of one, outnumber the
+    budget (argument, else FUSSCAT_BUDGET, else one million)."""
+    budget = _budget(params, length, budget)
+    n, k = length // params.step, params.k
+    if k > 1 and n > budget.bit_length():  # both bounds are 2^(n-1) or more
+        raise BudgetError("at least 2**%d tuples exceed the budget of %d"
+                          % (n - 1, budget))
+    tuples = 1 if k == 1 else fuss_catalan(params.m, length + 1)
+    if length <= tuples.bit_length():  # else k^(L-1) > trees, or k = 1
+        tuples = min(tuples, k ** max(length - 1, 0))
+    if tuples > budget:
+        raise BudgetError("%d tuples exceed the budget of %d"
+                          % (tuples, budget))
+    if length > budget:
+        raise BudgetError("tuples of %d entries exceed the budget of %d"
+                          % (length, budget))
     if length < 2:
         return 1  # () or (1,): no entry after the first
     s, top = params.step, params.modulus - params.step

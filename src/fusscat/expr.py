@@ -11,11 +11,14 @@ line uses these passes alone.  A run of P operands folds into
 (P-1)/(m-1) nodes that all open just before its first leaf, so the
 reader adds P-1 to that leaf's up-run when the run closes.
 
-The reader first turns every name into one character with one regex
-substitution, then loops once over the characters of that skeleton, in
-which each character but whitespace is one token.  A character that no
-expression may hold is reported before any other error, but the text is
-searched for one only when the read fails, as is the error's offset.
+The reader first turns every name into one character with string calls
+alone: one str.translate to character classes, then a few str.replace
+passes that join each name's characters into one.  It then loops once
+over the characters of that skeleton, in which each character but
+whitespace is one token.  A character that no expression may hold is
+reported before any other error, but the text is searched for one only
+when the read fails, as is the error's offset; only then are the
+reader's patterns compiled.
 
 unparse() names the leaves x1..xN from the left.  The "full" style
 parenthesizes every internal node below the root; the "minimal" style
@@ -23,8 +26,6 @@ also inlines a first child whose subtree is a plain chain of leaves,
 the paren omission the left-associative reading recovers by itself.
 """
 
-import re
-from itertools import islice
 from typing import TYPE_CHECKING
 
 from .dyck import DyckTuple, from_dyck, to_dyck
@@ -34,14 +35,29 @@ from .params import Params
 if TYPE_CHECKING:
     from .tree import Tree
 
-# A name is a non-digit word character, then word characters (Unicode
-# included); the reader sees each one as the single character "a".  Any
-# other visible character is an error, and wins over every other error.
-# _TOKEN finds where an error's token starts; its empty match at \Z (not
-# $, which also matches before a final "\n") stands for the end.
-_NAME = re.compile(r"[^\W\d]\w*")
-_TOKEN = re.compile(_NAME.pattern + r"|[*()]|\Z")
-_BAD = re.compile(r"(?<!\w)\d|[^\w\s*()]")
+
+def _class(c: str) -> str:
+    r"""The skeleton character of c, by the classes of re's \w, \d and
+    \s: "d" for a decimal digit, "a" for any other word character, " "
+    for whitespace, c itself for '*', '(' and ')', and "?" for anything
+    else.  A name, [^\W\d]\w*, is an "a" then any "a"s and "d"s."""
+    return ("d" if c.isdecimal() else "a" if c.isalnum() or c == "_"
+            else " " if c.isspace() else c if c in "*()" else "?")
+
+
+class _Classes(dict):
+    """One read's str.translate table: the ASCII classes, and the class
+    of any other code point added on first sight, so the table ends with
+    the read and text cannot grow the module's."""
+
+    __slots__ = ()
+
+    def __missing__(self, point: int) -> str:
+        self[point] = c = _class(chr(point))
+        return c
+
+
+_ASCII = {point: _class(chr(point)) for point in range(128)}
 
 
 def _error(text: str, skeleton: str, at: int, kind: type,
@@ -49,14 +65,23 @@ def _error(text: str, skeleton: str, at: int, kind: type,
     """The error to raise where the read stopped: the first character of
     text that no expression may hold, if there is one, else kind(message)
     at the token that the at-th character of the skeleton stands for
-    (at -1 is the whole text)."""
-    if bad := _BAD.search(text):
+    (at -1 is the whole text).  The patterns compile here, on the first
+    error, so a read that succeeds compiles none."""
+    import re
+    from itertools import islice
+
+    # A character other than a word character, whitespace and '*()' is
+    # an error, as is a digit that starts a token, and wins over every
+    # other error.  A token is a name, [^\W\d]\w*, or one of '*()'; the
+    # empty match at \Z (not $, which also matches before a final "\n")
+    # stands for the end.
+    if bad := re.search(r"(?<!\w)\d|[^\w\s*()]", text):
         return ParseError("unexpected character %r" % bad.group(), bad.start())
     if at < 0:
         return kind(message, 0)
     index = at - sum(map(str.isspace, skeleton[:at]))  # tokens before it
-    return kind(message, next(islice(_TOKEN.finditer(text), index,
-                                     None)).start())
+    return kind(message, next(islice(re.finditer(r"[^\W\d]\w*|[*()]|\Z",
+                                                 text), index, None)).start())
 
 
 def _read(text: str, params: Params) -> DyckTuple:
@@ -65,7 +90,15 @@ def _read(text: str, params: Params) -> DyckTuple:
     character but whitespace is one token.  The first character that no
     expression may hold wins over any other error; the text is searched
     for one, and an error's offset looked up, only when the read fails."""
-    skeleton = _NAME.sub("a", text)
+    # Classes, then each run of digits joins into one "d", a "d" after an
+    # "a" joins the name, and each run of "a"s is one name.  A "d" left
+    # over starts a token, so the scan stops there and _error reports it.
+    skeleton = text.translate(_Classes(_ASCII))
+    while "dd" in skeleton:
+        skeleton = skeleton.replace("dd", "d")
+    skeleton = skeleton.replace("ad", "a")
+    while "aa" in skeleton:
+        skeleton = skeleton.replace("aa", "a")
     end = len(skeleton)
     ups: list[int] = []  # per leaf read: m-1 times the groups opening before it
     groups: list[tuple[int, int, int]] = []  # the enclosing runs, as below

@@ -62,7 +62,8 @@ def test_count_brute_over_budget_exits_2_at_once(run):
                          "--length", "1000000000000", "--brute")
     assert time.monotonic() - start < 1.0
     assert (code, out) == (2, "")
-    assert err == ("error: at least 2**999999999999 trees exceed the "
+    # One tuple at k = 1, but of more entries than the budget.
+    assert err == ("error: tuples of 1000000000000 entries exceed the "
                    "budget of 1000000\n")
 
 
@@ -455,8 +456,10 @@ def test_verify_classes_at_the_budget_edge_builds_no_tree():
 
 
 def test_verify_skips_the_brute_over_budget(run):
-    # Catalan(30) tuples would never finish; the default budget stops the
-    # brute at L = 14 and the formula still runs in every cell.
+    # The brute may walk min(Catalan(L), 2^(L-1)) tuples at k = 2: the
+    # default budget admits 2^19 at L = 20, though the trees pass it from
+    # L = 14 (Catalan(14) = 2,674,440), and stops the brute at L = 21.
+    # The formula still runs in every cell.
     start = time.monotonic()
     code, out, _ = run("verify", "--m-range", "2", "--k-range", "2",
                        "--max-length", "30")
@@ -464,8 +467,9 @@ def test_verify_skips_the_brute_over_budget(run):
     assert code == 0
     lines = out.splitlines()
     assert lines[-1] == "checked 30 cells, 0 mismatches"
-    assert "m=2 k=2 length=13 formula=4096 brute=4096 ok" in lines
-    assert "m=2 k=2 length=14 formula=8192 brute=skipped ok" in lines
+    assert "m=2 k=2 length=14 formula=8192 brute=8192 ok" in lines
+    assert "m=2 k=2 length=20 formula=524288 brute=524288 ok" in lines
+    assert "m=2 k=2 length=21 formula=1048576 brute=skipped ok" in lines
     assert "m=2 k=2 length=30 formula=%d brute=skipped ok" % 2**29 in lines
 
 
@@ -481,9 +485,9 @@ def test_verify_skips_the_formula_past_its_work_limit(run, monkeypatch):
         "m=2 k=1 length=12 formula=1 brute=1 ok",
         "m=2 k=1 length=13 formula=skipped brute=1 ok",
         "checked 13 cells, 0 mismatches"]
-    # With the brute over budget there too (13 leaves make 208,012 trees,
-    # 14 make 742,900), no route runs at L = 13: that cell is not checked.
-    monkeypatch.setenv("FUSSCAT_BUDGET", "300000")
+    # With the brute over budget there too (its one tuple at k = 1 has L
+    # entries), no route runs at L = 13: that cell is not checked.
+    monkeypatch.setenv("FUSSCAT_BUDGET", "12")
     code, out, err = run("verify", "--m-range", "2", "--k-range", "1",
                          "--max-length", "13")
     assert (code, err) == (0, "")

@@ -252,18 +252,35 @@ def test_count_minimal_brute_walks_only_the_minimal_tuples():
 
 
 def test_count_minimal_brute_budget():
-    with pytest.raises(fc.BudgetError, match="^12 trees exceed the budget "
+    # The brute budgets the tuples it may walk, min(trees, k^(L-1)), and
+    # the L entries of one: 12 trees at (3, 2, 6), 2^15 tails at
+    # (3, 2, 16), which has 43,263 trees, and one tuple at k = 1.
+    # (2, 2, 14) has 2,674,440 trees, past the default budget, but 2^13
+    # tails.
+    with pytest.raises(fc.BudgetError, match="^12 tuples exceed the budget "
                        "of 5$"):
         fc.count_minimal_brute(P32, 6, budget=5)
     assert fc.count_minimal_brute(P32, 6, budget=12) == 10
+    with pytest.raises(fc.BudgetError, match="^32768 tuples exceed the "
+                       "budget of 32767$"):
+        fc.count_minimal_brute(P32, 16, budget=32767)
+    assert fc.count_minimal_brute(P32, 16, budget=32768) == 6435
+    assert fc.count_minimal_brute(fc.Params(2, 2), 14) == 8192
+    with pytest.raises(fc.BudgetError, match="^tuples of 10 entries exceed "
+                       "the budget of 9$"):
+        fc.count_minimal_brute(fc.Params(2, 1), 10, budget=9)
+    assert fc.count_minimal_brute(fc.Params(2, 1), 10, budget=10) == 1
 
 
-@pytest.mark.parametrize("route", [
-    fc.count_minimal_brute,
-    lambda p, n, **budget: fc.enumerate_classes(p, n + 1, **budget),
+@pytest.mark.parametrize("route,unit", [
+    (fc.count_minimal_brute, "tuples"),
+    (lambda p, n, **budget: fc.enumerate_classes(p, n + 1, **budget),
+     "trees"),
 ], ids=["count_minimal_brute", "enumerate_classes"])
-def test_a_huge_size_is_refused_without_counting_its_trees(route, monkeypatch):
-    # n internal nodes make at least 2^(n-1) trees, so a size far past
+def test_a_huge_size_is_refused_without_counting_its_trees(route, unit,
+                                                           monkeypatch):
+    # n internal nodes make at least 2^(n-1) trees, and at k >= 2 the L
+    # entries after the first at least 2^(L-1) tails, so a size far past
     # the budget is refused before the tree count is computed.
     import fusscat.counting
     import fusscat.dyck
@@ -274,13 +291,13 @@ def test_a_huge_size_is_refused_without_counting_its_trees(route, monkeypatch):
     monkeypatch.setattr(fusscat.counting, "fuss_catalan", refuse)
     for name in ("_entry_lists", "_coded_trees"):
         monkeypatch.setattr(fusscat.dyck, name, refuse)
-    with pytest.raises(fc.BudgetError, match=r"^at least 2\*\*21 trees "
-                       "exceed the budget of 1000000$"):
-        route(fc.Params(2, 1), 22)
+    with pytest.raises(fc.BudgetError, match=r"^at least 2\*\*21 %s "
+                       "exceed the budget of 1000000$" % unit):
+        route(fc.Params(2, 2), 22)
     with pytest.raises(fc.BudgetError):
-        route(fc.Params(2, 1), 10**12 - 1)
-    with pytest.raises(fc.BudgetError, match=r"^at least 2\*\*3 trees "
-                       "exceed the budget of 7$"):
+        route(fc.Params(2, 2), 10**12 - 1)
+    with pytest.raises(fc.BudgetError, match=r"^at least 2\*\*3 %s "
+                       "exceed the budget of 7$" % unit):
         route(fc.Params(3, 2), 8, budget=7)
 
 

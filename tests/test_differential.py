@@ -3,9 +3,12 @@ against perfbench/reference.py, which reads text into nested tuples and
 rotates them by its own definitions and does not use fusscat.
 
 Random trees are written by the reference writer, with '*' often turned
-into runs of whitespace and the parentheses padded, and must read back
-as the same path tuple both ways.  Edited ASCII texts must be accepted
-or refused by both readers alike, and read alike where accepted.
+into runs of whitespace, the parentheses padded and the names x1..xN
+renamed, and must read back as the same path tuple both ways.  Edited
+ASCII texts must be accepted or refused by both readers alike, and read
+alike where accepted.  The texts fusscat writes, in both styles, must
+read back through the reference reader as the tuples they were written
+from.
 """
 
 from __future__ import annotations
@@ -13,6 +16,9 @@ from __future__ import annotations
 import importlib.util
 import os
 import random
+import re
+import string
+import time
 
 import pytest
 
@@ -74,12 +80,42 @@ def _theirs(text: str, m: int):
         return None
 
 
+_FIRST = string.ascii_letters + "_"
+_LATER = _FIRST + string.digits
+
+
+def _renamed(rng: random.Random, text: str) -> str:
+    """text with each name x1..xN replaced by a random ASCII name of two
+    to six characters, digits allowed after the first."""
+    return re.sub(r"x\d+", lambda _: rng.choice(_FIRST) + "".join(
+        rng.choices(_LATER, k=rng.randint(1, 5))), text)
+
+
 @pytest.mark.parametrize("m", [2, 3, 4, 5])
 def test_written_texts_read_as_the_reference_reads_them(m):
     params = fc.Params(m, 1)
+    rng = random.Random("differential names:%d" % m)
     for entries, text in _texts(m, 60, 400):
+        text = _renamed(rng, text)
         assert _read(text, params).entries == ref.text_to_tuple(text, m) \
             == entries, text
+
+
+def test_fusscat_texts_read_back_through_the_reference():
+    # 200 seeded tuples per arity m = 2..5, of up to 360 leaves, each
+    # written in both styles: 1,600 texts within a few seconds.
+    start = time.monotonic()
+    for m in (2, 3, 4, 5):
+        params = fc.Params(m, 1)
+        rng = random.Random("differential writer:%d" % m)
+        for _ in range(200):
+            leaves = 1 + (m - 1) * rng.randint(0, 359 // (m - 1))
+            entries = ref.random_tuple(rng, m, leaves)
+            t = fc.from_dyck(fc.DyckTuple(entries, m - 1), params)
+            for style in ("minimal", "full"):
+                text = fc.unparse(t, style)
+                assert ref.text_to_tuple(text, m) == entries, (style, text)
+    assert time.monotonic() - start < 15.0
 
 
 @pytest.mark.parametrize("m", [2, 3, 4, 5])

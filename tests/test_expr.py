@@ -65,6 +65,41 @@ def test_parse_reads_unicode_names_whole(text, operands):
     assert fc.parse(text, fc.Params(2, 1)).leaf_count == operands
 
 
+_NAME_PIECES = ("αβ", "ǅ", "Ⅻ", "²", "x٣", "a_b9")
+
+
+def test_renamed_operands_read_as_the_x_names_do():
+    # Letters, a titlecase letter, a letter number, a superscript digit
+    # (a word character but no decimal digit), a decimal digit after a
+    # letter, and an underscore: each name of one to three pieces is one
+    # operand, so any renaming reads as the x-named text.
+    rng = random.Random("renamed operands")
+    for _ in range(300):
+        m = rng.randint(2, 4)
+        params = fc.Params(m, 1)
+        d = fc.DyckTuple(_random_entries(rng, m, rng.randint(0, 12)), m - 1)
+        text = fc.unparse(fc.from_dyck(d, params),
+                          rng.choice(("minimal", "full")))
+        renamed = re.sub(r"x\d+", lambda _: "".join(
+            rng.choice(_NAME_PIECES) for _ in range(rng.randint(1, 3))), text)
+        assert _read(renamed, params) == _read(text, params) == d, renamed
+
+
+@pytest.mark.parametrize("text,offset", [
+    ("1x", 0),
+    ("٣", 0),
+    ("(x)1", 3),
+    ("x1 ٣x", 3),
+    ("Ⅻ²*x٣ 12", 6),
+    ("αβ*(ǅ x 9)", 8),
+])
+def test_a_token_that_starts_with_a_digit_is_refused_there(text, offset):
+    with pytest.raises(fc.ParseError) as info:
+        fc.parse(text, P32)
+    assert (str(info.value), info.value.offset) == (
+        "unexpected character %r (offset %d)" % (text[offset], offset), offset)
+
+
 @pytest.mark.parametrize("text,offset", [
     ("", 0),
     ("x1*", 3),
@@ -264,3 +299,25 @@ def test_str_isspace_agrees_with_re_whitespace():
     everything = "".join(map(chr, range(sys.maxunicode + 1)))
     assert [c for c in everything if c.isspace()] == \
         re.findall(r"\s", everything)
+
+
+def test_the_reader_classes_agree_with_re_on_every_code_point():
+    # The skeleton's classes, character by character: "a" where re's \w
+    # matches and \d does not, "d" where \d matches, " " where \s does,
+    # '*()' as they are and "?" for anything else.  The classes of code
+    # points past ASCII stay in one read's table; the module keeps the
+    # 128 ASCII ones alone.
+    from fusscat.expr import _ASCII, _Classes
+
+    everything = "".join(map(chr, range(sys.maxunicode + 1)))
+    expected = everything
+    for pattern, cls in ((r"[^\W\d]", "a"), (r"\d", "d"), (r"\s", " "),
+                         (r"[^\w\s*()]", "?")):
+        expected = re.sub(pattern, cls, expected)
+    ours = everything.translate(_Classes(_ASCII))
+    assert ours == expected, next(
+        "U+%04X: %r, not %r" % (i, a, b)
+        for i, (a, b) in enumerate(zip(ours, expected)) if a != b)
+    p2 = fc.Params(2, 1)
+    assert _read("αβ*Ⅻ٣ (ǅ²*x٣)", p2) == _read("x1*x2 (x3*x4)", p2)
+    assert len(_ASCII) == 128

@@ -131,6 +131,22 @@ def test_unknown_attribute_is_an_attribute_error():
     assert (printed, loaded) == (["False"], ["fusscat"])
 
 
+def test_a_read_that_succeeds_compiles_no_pattern():
+    # The reader compiles its patterns on its first error, so importing
+    # it and reading valid text, Unicode names included, compiles none.
+    printed, _ = _fresh(
+        "import re\n"
+        "compile_ = re._compile\n"
+        "def refuse(*args):\n"
+        "    raise AssertionError('compiled %r' % (args[0],))\n"
+        "re._compile = refuse\n"
+        "from fusscat import Params\n"
+        "from fusscat.expr import _read\n"
+        "print(_read('(αβ*x٣ ²)*x10*a_b9', Params(3, 2)).entries)\n"
+        "re._compile = compile_")
+    assert printed == ["(4, 0, 0, 0)"]
+
+
 _TEXT_LAYERS = ["fusscat", "fusscat.cli", "fusscat.dyck", "fusscat.errors",
                 "fusscat.expr", "fusscat.params"]
 
