@@ -20,12 +20,12 @@ parser from the same table, so its help and error text are its own.
 
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import BudgetError, DomainError, FusscatError
 from .params import Params
 
+TYPE_CHECKING = False  # typing's flag, without loading typing (and re)
 if TYPE_CHECKING:
     from .dyck import DyckTuple
 

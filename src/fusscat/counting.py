@@ -19,7 +19,6 @@ walker's tuples by their residues instead and builds no tree.
 """
 
 import os
-from typing import TYPE_CHECKING, Iterator, Optional
 
 from .errors import ArityError, BudgetError, DomainError, FormatError
 from .formula import fuss_catalan, modular_fuss_catalan  # verify's route
@@ -28,7 +27,9 @@ from .params import Params, _Record
 # The functions that walk trees or tuples import the tree and tuple
 # layers when they run, so verify's formula and brute load neither; here
 # they are imported for type checkers only.
+TYPE_CHECKING = False  # typing's flag, without loading typing (and re)
 if TYPE_CHECKING:
+    from collections.abc import Iterator
     from .dyck import DyckTuple
     from .tree import Tree
 
@@ -38,7 +39,7 @@ DEFAULT_BUDGET = 1_000_000
 BUDGET_ENV_VAR = "FUSSCAT_BUDGET"
 
 
-def _budget(params: Params, length: int, budget: Optional[int]) -> int:
+def _budget(params: Params, length: int, budget: int | None) -> int:
     """Refuse a length that params does not allow, then give the budget:
     the argument, else the FUSSCAT_BUDGET environment variable, else
     DEFAULT_BUDGET."""
@@ -53,7 +54,7 @@ def _budget(params: Params, length: int, budget: Optional[int]) -> int:
     return int(budget)
 
 
-def _check_budget(params: Params, length: int, budget: Optional[int]) -> None:
+def _check_budget(params: Params, length: int, budget: int | None) -> None:
     """Refuse a length that params does not allow, then refuse when the
     m-ary trees of this length outnumber the budget; n internal nodes make
     at least 2^(n-1) trees, so a large n needs no count."""
@@ -68,7 +69,7 @@ def _check_budget(params: Params, length: int, budget: Optional[int]) -> None:
 
 
 def count_minimal_brute(params: Params, length: int,
-                        budget: Optional[int] = None) -> int:
+                        budget: int | None = None) -> int:
     """Count the minimal tuples, one class each, in about count * L steps:
     walk only their tails, from the last entry back, each entry a multiple
     of s below K, with the entries from index i on summing to at most L-i
@@ -115,7 +116,7 @@ class ClassReport(_Record):
 
     def __init__(self, representative: "DyckTuple", size: int,
                  members: "tuple[Tree, ...]",
-                 traces: Optional[tuple[tuple[RotationStep, ...], ...]] = None):
+                 traces: tuple[tuple[RotationStep, ...], ...] | None = None):
         object.__setattr__(self, "representative", representative)
         object.__setattr__(self, "size", size)
         object.__setattr__(self, "members", members)
@@ -123,7 +124,7 @@ class ClassReport(_Record):
 
 
 def enumerate_classes(params: Params, leaves: int, with_traces: bool = False,
-                      budget: Optional[int] = None) -> list[ClassReport]:
+                      budget: int | None = None) -> list[ClassReport]:
     """Group every tree with the given leaf count into k-equivalence
     classes, reported in ascending order of minimal tuple.
 
@@ -158,7 +159,7 @@ def enumerate_classes(params: Params, leaves: int, with_traces: bool = False,
 
 
 def _count_classes(params: Params, length: int,
-                   budget: Optional[int] = None) -> int:
+                   budget: int | None = None) -> int:
     """len(enumerate_classes(params, length + 1)), under the same budget,
     with no tree: the distinct residue keys of every tuple, one held per
     class.  verify's classes route."""
@@ -217,7 +218,7 @@ def cyclic_shift(word: PrefixedWord, j: int) -> PrefixedWord:
 
 
 def enumerate_prefixed_words(params: Params, length: int,
-                             first_run: int) -> Iterator[PrefixedWord]:
+                             first_run: int) -> "Iterator[PrefixedWord]":
     """All words with the given leading run, `length` down-steps, and
     tail runs that are multiples of m-1 below K, in ascending
     lexicographic order of tail: the lists of dyck._entry_lists whose

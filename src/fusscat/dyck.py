@@ -25,12 +25,12 @@ entries after the first are all < K.  Only the functions that build or
 refuse a tree load the tree module, through _tree, when they first run.
 """
 
-from typing import TYPE_CHECKING, Iterator, Sequence, Union
-
 from .errors import FormatError, InternalInvariantError, SizeError
 from .params import Params, _Record
 
+TYPE_CHECKING = False  # typing's flag, without loading typing (and re)
 if TYPE_CHECKING:
+    from collections.abc import Iterator, Sequence
     from .tree import Tree
 
 
@@ -59,22 +59,24 @@ class DyckTuple(_Record):
         if not (type(step) is int and step >= 1):
             raise FormatError("step must be a positive integer, got %r"
                               % (step,))
-        length = len(entries)
-        partial = 0
-        for i, e in enumerate(entries, start=1):
-            if type(e) is not int or e < 0:
-                raise FormatError("entry %d is %r, need a non-negative integer"
-                                  % (i, e))
-            if e % step != 0:
-                raise FormatError("entry %d is %d, not a multiple of %d"
-                                  % (i, e, step))
-            partial += e
-            if partial < i:
-                raise FormatError("path dips below the axis after %d down-steps"
-                                  % i)
-        if partial != length:
-            raise FormatError("path ends %d above the axis"
-                              % (partial - length))
+        rest = 0  # the path's height after each down-step
+        walk = iter(entries)
+        for e in walk:
+            if (type(e) is not int or e < 0 or e % step
+                    or (rest := rest + e - 1) < 0):
+                break
+        else:
+            if rest:
+                raise FormatError("path ends %d above the axis" % rest)
+            return
+        i = len(entries) - walk.__length_hint__()  # e is entry i, from 1
+        if type(e) is not int or e < 0:
+            raise FormatError("entry %d is %r, need a non-negative integer"
+                              % (i, e))
+        if e % step:
+            raise FormatError("entry %d is %d, not a multiple of %d"
+                              % (i, e, step))
+        raise FormatError("path dips below the axis after %d down-steps" % i)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -89,7 +91,7 @@ def _check_step(d: DyckTuple, params: Params) -> None:
                           % (d.step, params.step))
 
 
-def enumerate_tuples(params: Params, length: int) -> Iterator[DyckTuple]:
+def enumerate_tuples(params: Params, length: int) -> "Iterator[DyckTuple]":
     """Yield every valid tuple of the given length in ascending
     lexicographic order."""
     params.check_length(length)
@@ -100,8 +102,8 @@ def enumerate_tuples(params: Params, length: int) -> Iterator[DyckTuple]:
     return (DyckTuple(entries, s) for entries in _entry_lists(floors, length, s))
 
 
-def _entry_lists(floors: Sequence[int], top: int,
-                 s: int) -> Iterator[list[int]]:
+def _entry_lists(floors: "Sequence[int]", top: int,
+                 s: int) -> "Iterator[list[int]]":
     """Every list of multiples of s, each at most top, whose first i+1
     entries sum to at least floors[i] (the last floor is the total), in
     ascending order; one list, edited in place between yields."""
@@ -290,7 +292,7 @@ def canonicalize(d: DyckTuple, params: Params) -> DyckTuple:
     return _minimal(signature(d, params), len(d.entries), d.step)
 
 
-def _minimal(tail: Sequence[int], length: int, step: int) -> DyckTuple:
+def _minimal(tail: "Sequence[int]", length: int, step: int) -> DyckTuple:
     """The minimal tuple of the given length with tail after its first
     entry; canonicalize and enumerate_classes build theirs here."""
     try:
@@ -301,7 +303,7 @@ def _minimal(tail: Sequence[int], length: int, step: int) -> DyckTuple:
             % (tuple(tail), exc)) from exc
 
 
-def equivalent(a: "Union[DyckTuple, Tree]", b: "Union[DyckTuple, Tree]",
+def equivalent(a: "DyckTuple | Tree", b: "DyckTuple | Tree",
                params: Params) -> bool:
     """Whether two tuples or trees lie in the same k-equivalence class.
 

@@ -11,14 +11,14 @@ line uses these passes alone.  A run of P operands folds into
 (P-1)/(m-1) nodes that all open just before its first leaf, so the
 reader adds P-1 to that leaf's up-run when the run closes.
 
-The reader first turns every name into one character with string calls
-alone: one str.translate to character classes, then a few str.replace
-passes that join each name's characters into one.  It then loops once
-over the characters of that skeleton, in which each character but
-whitespace is one token.  A character that no expression may hold is
-reported before any other error, but the text is searched for one only
-when the read fails, as is the error's offset; only then are the
-reader's patterns compiled.
+The reader turns the text into tokens with string calls alone: one
+str.translate to character classes, then the digits deleted, each run
+of name characters joined into one "a" and whitespace dropped.  A few
+searches tell whether an operand is missing; one loop over the
+parentheses alone counts the names between them.  A character that no
+expression may hold wins over any other error, and the other errors
+come in the order a scan from the left meets them; the text is searched
+for the error and its offset, with patterns compiled, only on failure.
 
 unparse() names the leaves x1..xN from the left.  The "full" style
 parenthesizes every internal node below the root; the "minimal" style
@@ -26,12 +26,13 @@ also inlines a first child whose subtree is a plain chain of leaves,
 the paren omission the left-associative reading recovers by itself.
 """
 
-from typing import TYPE_CHECKING
+from itertools import accumulate, compress
 
 from .dyck import DyckTuple, from_dyck, to_dyck
 from .errors import ArityError, ParseError
 from .params import Params
 
+TYPE_CHECKING = False  # typing's flag, without loading typing (and re)
 if TYPE_CHECKING:
     from .tree import Tree
 
@@ -58,123 +59,144 @@ class _Classes(dict):
 
 
 _ASCII = {point: _class(chr(point)) for point in range(128)}
+_STARTS = str.maketrans(" *)", "(((")  # what a token may start after, as '('
+_NO_DIGITS = str.maketrans("", "", "d")
+_PARENS = str.maketrans("", "", "a*")  # tokens to their parentheses
+_CUTS = bytes.maketrans(b")", b"(")  # '(' for either parenthesis
+_GAPS = ("**", "(*", "*)", "()")  # an operand missing at the second token
 
 
-def _error(text: str, skeleton: str, at: int, kind: type,
-           message: str) -> Exception:
-    """The error to raise where the read stopped: the first character of
-    text that no expression may hold, if there is one, else kind(message)
-    at the token that the at-th character of the skeleton stands for
-    (at -1 is the whole text).  The patterns compile here, on the first
-    error, so a read that succeeds compiles none."""
+def _fault(text: str, tokens: str, gap: int, stop: int, start: int,
+           count: int, params: Params) -> Exception:
+    """The error that a scan of the tokens from the left meets first, when
+    the run of count operands opened by the start-th parenthesis (-1 for
+    the whole text) fails at the stop-th one or at the end (parentheses
+    count from 0), and an operand is missing at the gap-th token, if
+    there is one.  The first character of text that no expression may
+    hold wins over any other error.  The patterns compile here, so a
+    read that succeeds compiles none."""
     import re
     from itertools import islice
 
     # A character other than a word character, whitespace and '*()' is
-    # an error, as is a digit that starts a token, and wins over every
-    # other error.  A token is a name, [^\W\d]\w*, or one of '*()'; the
-    # empty match at \Z (not $, which also matches before a final "\n")
-    # stands for the end.
+    # an error, as is a digit that starts a token.
     if bad := re.search(r"(?<!\w)\d|[^\w\s*()]", text):
         return ParseError("unexpected character %r" % bad.group(), bad.start())
-    if at < 0:
-        return kind(message, 0)
-    index = at - sum(map(str.isspace, skeleton[:at]))  # tokens before it
-    return kind(message, next(islice(re.finditer(r"[^\W\d]\w*|[*()]|\Z",
-                                                 text), index, None)).start())
+    # Each parenthesis's place among the tokens; -1 stands for the text.
+    cuts = list(accumulate(map(len, tokens.replace(")", "(").split("("))))
+    inner = start >= 0  # the run is a group
+    at, kind = (start + cuts[start] if inner else -1), ArityError
+    stop += cuts[stop]
+    if gap <= stop:
+        at, kind, message = gap, ParseError, "expected an operand"
+    elif inner and count == 1:
+        message = "parenthesized group needs at least two operands"
+    elif not params.fits(count - 1):
+        message = ("run of %d operands cannot fold at arity %d"
+                   % (count, params.m))
+    elif inner:
+        kind, message = ParseError, "unbalanced '('"
+    else:
+        at, kind, message = stop, ParseError, "unexpected ')'"
+    # A token is a name, [^\W\d]\w*, or one of '*()'; the empty match at
+    # \Z (not $, which also matches before a final "\n") is the end.
+    return kind(message, 0 if at < 0 else next(islice(re.finditer(
+        r"[^\W\d]\w*|[*()]|\Z", text), at, None)).start())
 
 
 def _read(text: str, params: Params) -> DyckTuple:
-    """The path tuple of an expression, read in one scan of its skeleton:
-    the text with each name turned into the one character "a", so every
-    character but whitespace is one token.  The first character that no
-    expression may hold wins over any other error; the text is searched
-    for one, and an error's offset looked up, only when the read fails."""
-    # Classes, then each run of digits joins into one "d", a "d" after an
-    # "a" joins the name, and each run of "a"s is one name.  A "d" left
-    # over starts a token, so the scan stops there and _error reports it.
-    skeleton = text.translate(_Classes(_ASCII))
-    while "dd" in skeleton:
-        skeleton = skeleton.replace("dd", "d")
-    skeleton = skeleton.replace("ad", "a")
+    """The path tuple of an expression, read from its tokens: the text
+    with each name turned into the one character "a" and whitespace
+    dropped.  A few searches find the first missing operand; one loop
+    over the parentheses then counts the names between them.  An error
+    is found where a scan from the left would first meet it, but a
+    character that no expression may hold wins over any other; the
+    text is searched for the error and its offset only when the read
+    fails, by _fault."""
+    # A digit that starts a token is an error, as is a "?"; every other
+    # digit continues a name, so the digits go, and each run of "a"s
+    # left is one name.
+    classes = text.translate(_Classes(_ASCII))
+    if ("?" in classes or classes[:1] == "d"
+            or "(d" in classes.translate(_STARTS)):
+        raise _fault(text, "", 0, 0, -1, 0, params)  # which reports it
+    skeleton = classes.translate(_NO_DIGITS)
     while "aa" in skeleton:
         skeleton = skeleton.replace("aa", "a")
-    end = len(skeleton)
-    ups: list[int] = []  # per leaf read: m-1 times the groups opening before it
+    tokens = skeleton.replace(" ", "")
+    # An operand must come first and after each '*' and '(': the first
+    # '*', ')' or end where none does is where one is missing.
+    gaps = [i + 1 for i in map(tokens.find, _GAPS) if i >= 0]
+    gaps += [0] * (tokens[:1] in "*)") + [len(tokens)] * (tokens[-1:] in "*(")
+    gap = min(gaps, default=len(tokens) + 1)
+    s = params.m - 1
+    parens = tokens.translate(_PARENS)
+    # The names before, between and after the parentheses, counted in the
+    # tokens with '*' deleted and each parenthesis made a "(".
+    cut = tokens.encode().translate(_CUTS, b"*")
+    names = map(len, cut.split(b"("))
+    ups = [0] * (len(cut) - len(parens))  # per leaf: m-1 per node before it
     groups: list[tuple[int, int, int]] = []  # the enclosing runs, as below
-    start, count, first = -1, 0, 0  # '(' position, operands, first leaf of the run
-    need = True  # an operand must come next
-    for i, c in enumerate(skeleton + ")"):  # the last ')' stands for the end
-        if c == "a":
-            ups.append(0)
-            count += 1
-            need = False
-        elif c == "*" and not need:
-            need = True
-        elif c == "(":
+    count = leaves = next(names)  # the run's operands, and the names read
+    start, first = -1, 0  # the run's '(' among the parentheses, its first leaf
+    i = 0  # the parenthesis read, counted from 0
+    for paren, after in zip(parens, names):
+        if paren == "(":
             groups.append((start, count, first))
-            start, count, first = i, 0, len(ups)
-            need = True
-        elif c not in "*)":
-            if not c.isspace():
-                raise _error(text, skeleton, i, ParseError,
-                             "unexpected character %r" % c)
-        elif need:
-            raise _error(text, skeleton, i, ParseError, "expected an operand")
-        else:  # the run ends
-            if groups and count == 1:
-                raise _error(text, skeleton, start, ArityError,
-                             "parenthesized group needs at least two operands")
-            if not params.fits(count - 1):
-                raise _error(text, skeleton, start, ArityError,
-                             "run of %d operands cannot fold at arity %d"
-                             % (count, params.m))
+            start, count, first = i, after, leaves
+        else:  # the run ends; _fault names what refuses it
+            if count < 2 and groups or (count - 1) % s or not groups:
+                raise _fault(text, tokens, gap, i, start, count, params)
             ups[first] += count - 1
-            if not groups:
-                if i < end:
-                    raise _error(text, skeleton, i, ParseError,
-                                 "unexpected ')'")
-                ups.pop()  # the last leaf closes no run
-                return DyckTuple(ups, params.step)
-            if i == end:
-                raise _error(text, skeleton, start, ParseError,
-                             "unbalanced '('")
             start, count, first = groups.pop()
-            count += 1
+            count += 1 + after
+        leaves += after
+        i += 1
+    if gaps or groups or (count - 1) % s:
+        raise _fault(text, tokens, gap, i, start, count, params)
+    ups[0] += count - 1
+    ups.pop()  # the last leaf closes no run
+    return DyckTuple(ups, params.step)
 
 
 def _write(entries: tuple[int, ...], m: int, style: str) -> str:
-    """The text of a path tuple, in one pass over its leaves: the
-    entries[j]/(m-1) nodes opening before leaf j form a first-child chain
-    whose top is wrapped unless it is the root.  A node below the top is
-    wrapped in the full style, and in the minimal style when the next
-    nonzero entry falls among the operands of it and the chain below it."""
+    """The text of a path tuple, in one pass over its nonzero entries:
+    the entries[j]/(m-1) nodes opening before leaf j form a first-child
+    chain whose top is wrapped unless it is the root.  A node below the
+    top is wrapped in the full style, and in the minimal style when the
+    next nonzero entry falls among the operands of it and the chain below
+    it.  The leaves between two nonzero entries open no node, so the
+    pass steps over them from one node they complete to the next."""
     s = m - 1
     n = len(entries)  # the last leaf has no entry
-    out: list[str] = []  # the text of each leaf with its parens
-    stack: list[list] = []  # [children left, wrapped] per open node
-    for j in range(n + 1):
-        c = entries[j] // s if j < n else 0
-        text = "x%d" % (j + 1)
-        if c:
-            below = c - 1  # wrapped nodes below the chain's top
-            if style == "minimal":
-                z = j + 1  # the next nonzero entry, or n
-                while z < n and not entries[z]:
-                    z += 1
-                below = max(0, c + (j - z) // s)  # c - ceil((z-j)/s)
-            stack.append([m, j > 0])
-            for i in range(1, c):
-                stack.append([m, i <= below])
-            text = "(" * (below + (j > 0)) + text
-        while stack:  # the leaf ends a child; close the nodes it completes
-            node = stack[-1]
-            node[0] -= 1
-            if node[0]:
-                break
-            text += ")" * stack.pop()[1]
-        out.append(text)
-    return "*".join(out)
+    out = [f"x{i}" for i in range(1, n + 2)]  # each leaf with its parens
+    heads = list(compress(range(n), entries))  # the leaves nodes open before
+    # Per open node, the children it waits for and the ')' that ends it
+    # (or ""), over a bottom entry that no run of leaves reaches.
+    lefts, closes = [n + 2], [""]
+    j = 0  # the leaves before j are counted in lefts
+    # Each leaf z that nodes open before, with the next such leaf (n after
+    # the last one); z = n + 1 closes every node left.
+    for z, after in zip(heads + [n + 1], heads[1:] + [n, n]):
+        # The leaves j..z-1 open no node; each node they end closes at its
+        # last leaf j, which then stands for it in its parent.
+        while lefts[-1] <= z - j:
+            j += lefts.pop() - 1
+            out[j] += closes.pop()
+        if z > n:
+            return "*".join(out)
+        lefts[-1] -= z - j
+        c = entries[z] // s
+        below = c - 1  # wrapped nodes below the chain's top
+        if style == "minimal":
+            below = max(0, c + (z - after) // s)  # c - ceil((after-z)/s)
+        out[z] = "(" * (below + (z > 0)) + out[z]
+        lefts += [m] * (below + 1)
+        closes += [")" if z else ""] + [")"] * below
+        if c > below + 1:  # the unwrapped rest waits for one run of leaves
+            lefts.append((c - 1 - below) * s + 1)
+            closes.append("")
+        j = z
 
 
 def parse(text: str, params: Params) -> "Tree":

@@ -1,6 +1,8 @@
-"""The text reader, and the classes and moves of a large-arity cell,
-against perfbench/reference.py, which reads text into nested tuples and
-rotates them by its own definitions and does not use fusscat.
+"""The text reader, the tuple codec, signatures, canonical forms and the
+equivalence test, and the classes and moves of a large-arity cell,
+against perfbench/reference.py, which reads text into nested tuples,
+encodes and rotates them by its own definitions and does not use
+fusscat.
 
 Random trees are written by the reference writer, with '*' often turned
 into runs of whitespace, the parentheses padded and the names x1..xN
@@ -129,6 +131,71 @@ def test_edited_texts_are_refused_as_the_reference_refuses_them(m):
         assert ours == _theirs(text, m), text
         accepted += ours is not None
     assert 0 < accepted < 400  # both outcomes are exercised
+
+
+def _seeded_tuples(tag: str, count: int):
+    """(m, k, entries, rng) for seeded random tuples with m 2..5, k 1..4
+    and 3 to 300 leaves (at least two entries)."""
+    rng = random.Random("differential %s" % tag)
+    for _ in range(count):
+        m, k = rng.randint(2, 5), rng.randint(1, 4)
+        leaves = 1 + (m - 1) * rng.randint(-(-2 // (m - 1)), 299 // (m - 1))
+        yield m, k, ref.random_tuple(rng, m, leaves), rng
+
+
+def _built(tree) -> fc.Tree:
+    """A reference tree as a fusscat tree made with Tree(children), so it
+    keeps no tuple and to_dyck walks it."""
+    order = [tree]
+    for node in order:  # the list grows while it is read: parents first
+        order.extend(node)
+    made = {}
+    for node in reversed(order):
+        made[id(node)] = fc.Tree(tuple(made[id(c)] for c in node))
+    return made[id(tree)]
+
+
+def test_the_codec_agrees_with_the_reference_codec():
+    # from_dyck's tree read back by the reference encoder, and to_dyck's
+    # walk of the reference decoder's tree, give the tuple back.
+    start = time.monotonic()
+    for m, k, entries, _ in _seeded_tuples("codec", 400):
+        params = fc.Params(m, k)
+        d = fc.DyckTuple(entries, m - 1)
+        decoded = fc.from_dyck(d, params)
+        assert ref.tree_to_tuple(decoded, m, lambda t: t.children) == entries
+        built = _built(ref.tuple_to_tree(entries, m))
+        assert built._dyck is None and built == decoded
+        assert fc.to_dyck(built, params).entries == entries
+    assert time.monotonic() - start < 15.0
+
+
+def test_signatures_and_canonical_forms_agree_with_the_reference():
+    for m, k, entries, _ in _seeded_tuples("canonical", 400):
+        params, modulus = fc.Params(m, k), k * (m - 1)
+        d = fc.DyckTuple(entries, m - 1)
+        assert fc.signature(d, params) == ref.signature(entries, modulus)
+        canonical = fc.canonicalize(d, params)
+        assert canonical.entries == ref.canonical(entries, modulus)
+        assert fc.is_minimal(canonical, params)
+
+
+def test_partners_are_equivalent_as_the_reference_made_them():
+    # ref.partner moves K between entries, and for a pair it makes
+    # inequivalent also moves m-1 so that the signature changes.
+    verdicts = {True: 0, False: 0}
+    for m, k, entries, rng in _seeded_tuples("partners", 400):
+        params = fc.Params(m, k)
+        same = k == 1 or rng.random() < 0.5  # at k = 1 every pair is
+        try:
+            other = ref.partner(rng, entries, m, k, same)
+        except ValueError:  # no signature-changing move found
+            continue
+        a, b = (fc.DyckTuple(e, m - 1) for e in (entries, other))
+        assert fc.equivalent(a, b, params) is same
+        assert fc.equivalent(fc.from_dyck(a, params), b, params) is same
+        verdicts[same] += 1
+    assert min(verdicts.values()) > 100
 
 
 def _reference_sites(tree, m: int, k: int, direction: str):

@@ -6,9 +6,12 @@ import copy
 import hashlib
 import os
 import pickle
+import random
 import re
 import subprocess
 import sys
+from collections import Counter
+from itertools import accumulate
 
 import pytest
 from hypothesis import given
@@ -18,6 +21,7 @@ from fusscat.dyck import _coded_trees
 from fusscat.expr import _read, _write
 from conftest import GRID_PARAMS, comb, params_and_tree, valid_leaf_counts
 from test_counting import _oracle_tuples
+from test_expr import _random_entries
 
 P32 = fc.Params(3, 2)
 
@@ -42,6 +46,63 @@ def test_tuple_validation_rejects_bad_paths(entries):
 
 def test_tuple_validation_accepts_the_empty_path():
     assert len(fc.DyckTuple((), 2)) == 0
+
+
+def _dips(entries) -> bool:
+    return any(p < i for i, p in enumerate(accumulate(entries), start=1))
+
+
+def _tuple_faults():
+    """(fault, entries, step): seeded valid tuples at m 2..4, each with
+    one entry made negative, made no integer, moved off the step (for
+    m > 2), grown by a multiple of the step (a wrong total), and with a
+    multiple of the step moved to a later entry so the path dips."""
+    rng = random.Random("tuple faults")
+    for _ in range(300):
+        m = rng.randint(2, 4)
+        s = m - 1
+        entries = _random_entries(rng, m, rng.randint(1, 12))
+        i = rng.randrange(len(entries))
+        e = entries[i]
+        changes = {
+            "negative": [(i, -rng.randint(1, 2 * s))],
+            "no integer": [(i, rng.choice((float(e), str(e), None, True)))],
+            "total": [(i, e + s * rng.randint(1, 3))]}
+        if s > 1:
+            changes["off step"] = [(i, e + rng.randint(1, s - 1))]
+        moves = [(a, b) for a in range(len(entries)) if entries[a] >= s
+                 for b in range(a + 1, len(entries))]
+        rng.shuffle(moves)
+        for a, b in moves:
+            moved = list(entries)
+            moved[a] -= s
+            moved[b] += s
+            if _dips(moved):
+                changes["dip"] = [(a, moved[a]), (b, moved[b])]
+                break
+        for fault, change in sorted(changes.items()):
+            bad = list(entries)
+            for at, value in change:
+                bad[at] = value
+            yield fault, tuple(bad), s
+
+
+# SHA-256 over the message of every refused tuple of _tuple_faults(), one
+# per line, as the entry-by-entry check with enumerate gave them.
+_TUPLE_FAULT_DIGEST = (
+    1374, "6e90e966bbf9776c2d03a6d57295e599ffb40637fe597ccc17fd5cbd942e9154")
+
+
+def test_the_first_fault_of_a_tuple_is_reported_as_frozen():
+    digest = hashlib.sha256()
+    faults = Counter()
+    for fault, entries, step in _tuple_faults():
+        with pytest.raises(fc.FormatError) as info:
+            fc.DyckTuple(entries, step)
+        digest.update(str(info.value).encode() + b"\n")
+        faults[fault] += 1
+    assert min(faults.values()) > 150
+    assert (sum(faults.values()), digest.hexdigest()) == _TUPLE_FAULT_DIGEST
 
 
 # ------------------------------------------------------------------ encoding

@@ -6,6 +6,7 @@ import hashlib
 import random
 import re
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import given
@@ -290,6 +291,69 @@ def test_reader_results_on_edited_texts_are_frozen():
             result = (type(error).__name__, str(error), error.offset)
         digest.update(repr(result).encode() + b"\n")
     assert digest.hexdigest() == _ERROR_DIGEST
+
+
+def _two_fault_corpus():
+    """(text, params, whether the operand fault comes first): the text of
+    a random tree, a quarter of its '*' written as spaces, with one
+    operand fault ('**', '(*', '*)', '()', or a '*' at either end) and
+    one group fault (a one-operand group, a run that cannot fold, a stray
+    ')', an open '(') put in at least one token apart."""
+    rng = random.Random("two faults")
+    made = 0
+    while made < 2000:
+        group = rng.choice(("one operand", "fold", "stray )", "open ("))
+        m = rng.randint(3 if group == "fold" else 2, 4)  # m = 2 folds any run
+        params = fc.Params(m, 1)
+        d = fc.DyckTuple(_random_entries(rng, m, rng.randint(1, 8)), m - 1)
+        text = fc.unparse(fc.from_dyck(d, params),
+                          rng.choice(("minimal", "full")))
+        tokens = [" " if t == "*" and rng.random() < 0.25 else t
+                  for t in re.findall(r"x\d+|[*()]", text)]
+        at = {c: [i for i, t in enumerate(tokens) if t[0] == c] for c in "*()x"}
+        n = len(tokens)
+        # Each fault is a slice of tokens and the text put in its place.
+        groups = {"one operand": [(i, i + 1, "(%s)" % tokens[i])
+                                  for i in at["x"]],
+                  "fold": [(i + 1, i + 1, "*y") for i in at["x"]],
+                  "stray )": [(i + 1, i + 1, ")") for i in at["x"]],
+                  "open (": [(i, i, "(") for i in at["x"]]}
+        operands = {"**": [(i, i, "*") for i in at["*"]],
+                    "(*": [(i + 1, i + 1, "*") for i in at["("]],
+                    "*)": [(i, i, "*") for i in at[")"]],
+                    "()": [(i, i, "()") for i in range(n + 1)],
+                    "lead *": [(0, 0, "*")], "end *": [(n, n, "*")]}
+        operand = rng.choice(rng.choice([s for s in operands.values() if s]))
+        first, second = sorted((operand, rng.choice(groups[group])))
+        if first[1] >= second[0]:
+            continue
+        for start, stop, put in (second, first):
+            tokens[start:stop] = [put]
+        made += 1
+        yield "".join(tokens), params, operand is first
+
+
+# _ERROR_DIGEST's form over _two_fault_corpus(), as the reader that
+# scanned the skeleton character by character gave it.
+_TWO_FAULT_DIGEST = \
+    "cde31316c04b663f215a0e6b73de76df055ad893954cd55725bc12dbacac8168"
+
+
+def test_the_error_that_wins_on_two_fault_texts_is_frozen():
+    digest = hashlib.sha256()
+    orders, winners = Counter(), Counter()
+    for text, params, operand_first in _two_fault_corpus():
+        try:
+            _read(text, params)
+        except (fc.ParseError, fc.ArityError) as error:
+            result = (type(error).__name__, str(error), error.offset)
+        else:
+            raise AssertionError("read %r" % text)
+        digest.update(repr(result).encode() + b"\n")
+        orders[operand_first] += 1
+        winners[result[1].startswith("expected an operand")] += 1
+    assert min(orders.values()) > 500 and min(winners.values()) > 500
+    assert digest.hexdigest() == _TWO_FAULT_DIGEST
 
 
 def test_str_isspace_agrees_with_re_whitespace():

@@ -1,7 +1,8 @@
 """What a fresh interpreter loads: `import fusscat` loads none of the
 package's modules, the CLI module leaves the layers, json and
-dataclasses to the commands that need them, and argparse is loaded only
-for help, --version and a command line the plain reader leaves to it."""
+dataclasses to the commands that need them, argparse is loaded only for
+help, --version and a command line the plain reader leaves to it, and
+no plain command loads typing."""
 
 from __future__ import annotations
 
@@ -19,14 +20,15 @@ SRC = os.path.dirname(os.path.dirname(os.path.abspath(fusscat.__file__)))
 WATCHED = ("__future__", "argparse", "dataclasses", "json")
 
 
-def _fresh(statements: str) -> tuple[list[str], list[str]]:
-    """Run `statements` in a new interpreter; return the lines they print
-    and the fusscat modules plus WATCHED modules it then holds."""
+def _fresh(statements: str, *flags: str) -> tuple[list[str], list[str]]:
+    """Run `statements` in a new interpreter started with `flags`; return
+    the lines they print and the fusscat modules plus WATCHED modules it
+    then holds."""
     code = (statements + "\nimport sys\n"
             "loaded = sorted(m for m in sys.modules if m == 'fusscat' or "
             "m.startswith('fusscat.') or m in %r)\n"
             "import json\nprint(json.dumps(loaded))\n" % (WATCHED,))
-    done = subprocess.run([sys.executable, "-c", code],
+    done = subprocess.run([sys.executable, *flags, "-c", code],
                           env=dict(os.environ, PYTHONPATH=SRC, COLUMNS="80"),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
@@ -204,3 +206,22 @@ def test_counting_commands_load_the_formula_and_what_else_they_run(
                   "print(code)" % (argv,)) == (printed, sorted(
                       ["fusscat", "fusscat.cli", "fusscat.errors",
                        "fusscat.params"] + layers))
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--m", "3", "--k", "2", "--length", "6"],
+    ["equiv", "--m", "3", "--k", "2", "(x1*x2*x3)*x4*x5", "x1*x2*x3*x4*x5"],
+    ["canon", "--m", "2", "--k", "2", "x1*(x2*x3)"],
+    ["table", "--m-range", "2..3", "--k-range", "1..2", "--length-range",
+     "4"],
+    ["verify", "--m-range", "2..3", "--k-range", "2", "--max-length", "6",
+     "--classes"],
+], ids=["count", "equiv", "canon", "table", "verify-classes"])
+def test_plain_commands_never_import_typing(argv):
+    # Under -S, as where start-up loads no site module: some interpreters'
+    # site imports typing, which would hide an import of it here.  Before
+    # Python 3.13, typing also loads re.
+    printed, _ = _fresh("import sys, fusscat.cli\n"
+                        "code = fusscat.cli.main(%r)\n"
+                        "print(code, 'typing' in sys.modules)" % (argv,), "-S")
+    assert printed[-1] == "0 False"
