@@ -16,9 +16,7 @@ __version__ = "0.1.0"
 _HOMES = {name: module for module, names in (
     ("algebra", ("ExponentVector", "equivalent_by_eval", "eval_by_depth",
                  "eval_recursive")),
-    ("counting", ("ClassReport", "PrefixedWord", "count_minimal_brute",
-                  "cyclic_shift", "enumerate_classes",
-                  "enumerate_prefixed_words")),
+    ("counting", ("ClassReport", "count_minimal_brute", "enumerate_classes")),
     ("dyck", ("DyckTuple", "canonicalize", "depth_to_tuple", "enumerate_trees",
               "enumerate_tuples", "equivalent", "from_dyck", "is_minimal",
               "parse_dyck", "print_dyck", "signature", "to_dyck")),

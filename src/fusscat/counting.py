@@ -1,10 +1,9 @@
 """Brute-force class counts and class enumeration, the cross-checks of
 the closed formula in `formula`.
 
-The formula is the paper's sum, over the first up-run l, of the cycle
-fraction l/L times the words with that run.  The words stay the proof
-device: `enumerate_prefixed_words` lists them for criterion 09, with
-the one lexicographic walker that dyck lists path tuples with.
+The paper proves that formula with the cycle lemma, over words of one
+leading up-run; those words are built in the tests, for criterion 09,
+not here.
 
 Everything here is exact integer arithmetic; the brute-force routines
 exist so the formula is never the only route to a number, and refuse to
@@ -20,7 +19,7 @@ walker's tuples by their residues instead and builds no tree.
 
 import os
 
-from .errors import ArityError, BudgetError, DomainError, FormatError
+from .errors import BudgetError, DomainError
 from .formula import fuss_catalan, modular_fuss_catalan  # verify's route
 from .params import Params, _Record
 
@@ -29,7 +28,6 @@ from .params import Params, _Record
 # they are imported for type checkers only.
 TYPE_CHECKING = False  # typing's flag, without loading typing (and re)
 if TYPE_CHECKING:
-    from collections.abc import Iterator
     from .dyck import DyckTuple
     from .tree import Tree
 
@@ -140,19 +138,19 @@ def enumerate_classes(params: Params, leaves: int, with_traces: bool = False,
     # A node count mod k is its entry's residue mod K, over s
     s, k = params.step, params.k
     residue = [c % k for c in range(length // s + 1)]
-    runs, trees = _coded_trees(params, length)
-    groups: dict[str, list[int]] = {}  # key: residues of the runs
-    for i in sorted(range(len(runs)), key=runs.__getitem__):
-        groups.setdefault(runs[i].translate(residue), []).append(i)
+    codes, trees = _coded_trees(params, length)
+    groups: dict[str, list[int]] = {}  # key: residues of the codes
+    for i in sorted(range(len(codes)), key=codes.__getitem__):
+        groups.setdefault(codes[i].translate(residue), []).append(i)
 
     reports = []
     for key, group in groups.items():
         rep = _minimal([s * ord(c) for c in key[1:-1]], length, s)
-        # The closure starts from rep's runs: the key with rep's first count
+        # The closure starts from rep's code: the key with rep's first count
         reports.append(ClassReport(
             rep, len(group), tuple(map(trees.__getitem__, group)),
             _traces(chr(rep.entries[0] // s) + key[1:] if length else key,
-                    list(map(runs.__getitem__, group)), params)
+                    list(map(codes.__getitem__, group)), params)
             if with_traces else None))
     reports.sort(key=lambda r: r.representative.entries)
     return reports
@@ -169,70 +167,4 @@ def _count_classes(params: Params, length: int,
     s, modulus = params.step, params.modulus
     floors = [(i // s + 1) * s for i in range(length)]  # as enumerate_tuples
     return len({tuple([e % modulus for e in entries[1:]])
-                for entries in _entry_lists(floors, length, s)})
-
-
-class PrefixedWord(_Record):
-    """A word of one leading up-run and trailing down-steps: reading is
-    N^first S N^tail[0] S N^tail[1] .. S N^tail[-1]."""
-
-    __slots__ = ("first", "tail")
-
-    def __init__(self, first: int, tail: tuple[int, ...]):
-        tail = tuple(tail)
-        object.__setattr__(self, "first", first)
-        object.__setattr__(self, "tail", tail)
-        for run in (first, *tail):
-            if type(run) is not int or run < 0:
-                raise FormatError("word run %r is not a non-negative integer"
-                                  % (run,))
-
-    def is_dyck_path(self) -> bool:
-        """Whether the word, read as a lattice path, stays on or above
-        the axis."""
-        runs = (self.first, *self.tail)
-        partial = 0
-        for q in range(1, len(runs)):
-            partial += runs[q - 1]
-            if partial < q:
-                return False
-        return True
-
-    def to_dyck_tuple(self, params: Params) -> "DyckTuple":
-        """The word as a path tuple; only Dyck words convert (the last
-        tail run must be empty)."""
-        from .dyck import DyckTuple
-
-        if not self.tail or self.tail[-1] != 0:
-            raise FormatError("word ends with unmatched up-steps")
-        return DyckTuple((self.first, *self.tail[:-1]), params.step)
-
-
-def cyclic_shift(word: PrefixedWord, j: int) -> PrefixedWord:
-    """Rotate the tail runs left by j places, keeping the leading run;
-    j may be anything from 0 to the tail length (a full cycle)."""
-    n = len(word.tail)
-    if not 0 <= j <= n:
-        raise DomainError("shift must be in [0, %d], got %d" % (n, j))
-    return PrefixedWord(word.first, word.tail[j:] + word.tail[:j])
-
-
-def enumerate_prefixed_words(params: Params, length: int,
-                             first_run: int) -> "Iterator[PrefixedWord]":
-    """All words with the given leading run, `length` down-steps, and
-    tail runs that are multiples of m-1 below K, in ascending
-    lexicographic order of tail: the lists of dyck._entry_lists whose
-    first i+1 runs hold what the later ones cannot of the rest."""
-    from .dyck import _entry_lists
-
-    params.check_length(length)
-    s, top = params.step, params.modulus - params.step
-    if not s <= first_run <= length or first_run % s != 0:
-        raise ArityError("leading run must be a multiple of %d in [%d, %d], "
-                         "got %d" % (s, s, length, first_run))
-    rest = length - first_run
-    if rest > top * length:
-        return iter(())  # the tails cannot hold the whole word
-    floors = [rest - top * (length - 1 - i) for i in range(length)]
-    return (PrefixedWord(first_run, tuple(tail))
-            for tail in _entry_lists(floors, top, s))
+                for entries in _entry_lists(floors, s)})

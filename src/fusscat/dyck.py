@@ -99,14 +99,13 @@ def enumerate_tuples(params: Params, length: int) -> "Iterator[DyckTuple]":
     # The path condition: the first i+1 entries reach i+1, rounded up
     # to a multiple of s.
     floors = [(i // s + 1) * s for i in range(length)]
-    return (DyckTuple(entries, s) for entries in _entry_lists(floors, length, s))
+    return (DyckTuple(entries, s) for entries in _entry_lists(floors, s))
 
 
-def _entry_lists(floors: "Sequence[int]", top: int,
-                 s: int) -> "Iterator[list[int]]":
-    """Every list of multiples of s, each at most top, whose first i+1
-    entries sum to at least floors[i] (the last floor is the total), in
-    ascending order; one list, edited in place between yields."""
+def _entry_lists(floors: "Sequence[int]", s: int) -> "Iterator[list[int]]":
+    """Every list of multiples of s whose first i+1 entries sum to at
+    least floors[i] (the last floor is the total), in ascending order;
+    one list, edited in place between yields."""
     goal = floors[-1] if floors else 0
     entries: list[int] = []
     done = 0
@@ -119,7 +118,7 @@ def _entry_lists(floors: "Sequence[int]", top: int,
         yield entries
         # Drop the entries that cannot grow by s, then grow the last one
         # left; the floors leave the later entries room for the rest.
-        while entries and (done + s > goal or entries[-1] + s > top):
+        while entries and done + s > goal:
             done -= entries.pop()
         if not entries:
             return
@@ -180,28 +179,28 @@ def enumerate_trees(params: Params, leaves: int) -> "Iterator[Tree]":
 
 
 def _coded_trees(params: Params, length: int) -> "tuple[list[str], list[Tree]]":
-    """(runs, trees) of every tree of the given length, at one index
-    each; the caller checks the size.  Runs hold one character per leaf,
-    the nodes that open just before it in preorder (its entry over s,
-    which at a large m could pass chr's range), then the last leaf's
-    closing "\\0".  Runs of one size have one length, so sorting them is
+    """(codes, trees) of every tree of the given length, at one index
+    each; the caller checks the size.  A code holds one character per
+    leaf, the nodes that open just before it in preorder (its entry over
+    s, which at a large m could pass chr's range), then the last leaf's
+    closing "\\0".  Codes of one size have one length, so sorting them is
     the order of enumerate_tuples; strings sort in C, untracked by the
     collector.  Builds size by size: a tree with i internal nodes is a
     node over m trees with i-1 in all, so each tree is made once and
-    shared by every larger tree that holds it; a node's runs are its
+    shared by every larger tree that holds it; a node's code is its
     children's joined, with one more node before the first leaf."""
     m, Tree = params.m, _tree.Tree
-    sized = [(["\0"], [_tree.leaf()])]  # sized[i]: runs, trees with i nodes
+    sized = [(["\0"], [_tree.leaf()])]  # sized[i]: codes, trees with i nodes
     for i in range(1, length // params.step + 1):
-        heads = [("", (), 0)]  # the first m-1 children: (runs, trees, nodes)
+        heads = [("", (), 0)]  # the first m-1 children: (code, trees, nodes)
         for _ in range(m - 1):
-            heads = [(runs + r, kids + (t,), used + j)
-                     for runs, kids, used in heads
-                     for j in range(i - used) for r, t in zip(*sized[j])]
+            heads = [(code + c, kids + (t,), used + j)
+                     for code, kids, used in heads
+                     for j in range(i - used) for c, t in zip(*sized[j])]
         # The last child takes the nodes that are left.
         sized.append((
-            [chr(ord(runs[0]) + 1) + runs[1:] + r
-             for runs, _, used in heads for r in sized[i - 1 - used][0]],
+            [chr(ord(code[0]) + 1) + code[1:] + c
+             for code, _, used in heads for c in sized[i - 1 - used][0]],
             [Tree(kids + (t,))
              for _, kids, used in heads for t in sized[i - 1 - used][1]]))
     return sized[-1]

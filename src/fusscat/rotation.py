@@ -8,17 +8,18 @@ need the moves, so the tuple and text layers never load this module.
 """
 
 from bisect import bisect
-from typing import TYPE_CHECKING, Iterable
 
 from .dyck import DyckTuple, _check_step, to_dyck
 from .errors import InternalInvariantError, SiteError
 from .params import Params
 
+TYPE_CHECKING = False  # typing's flag, without loading typing (and re)
 if TYPE_CHECKING:
+    from collections.abc import Iterable
     from .tree import Site, Tree
 
 
-def _move_table(counts: Iterable[int], params: Params) -> tuple:
+def _move_table(counts: "Iterable[int]", params: Params) -> tuple:
     """Every k-rotation of the tree whose leaves have these node counts
     (path entries over s; a closing 0 for the last leaf adds no move),
     both directions in one pass: (right, left, runs).  A move is (node,
@@ -81,7 +82,7 @@ def _address(runs: list[tuple[int, int, int]], node: int) -> tuple[int, ...]:
 
 def _traces(seed: str, members: list[str], params: Params) -> tuple:
     """For each member, a rotation sequence taking it to the seed, all
-    runs as _coded_trees makes them.  A breadth-first closure of {seed}
+    codes as _coded_trees makes them.  A breadth-first closure of {seed}
     under both directions records each tree's trace when it first
     reaches it: the step back along that move, then the trace of the tree
     the move started from.  A move rewrites two counts by k.  The closure

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import hypothesis.strategies as st
 
 import fusscat as fc
@@ -16,6 +18,40 @@ def comb(params: fc.Params, leaves: int) -> fc.Tree:
 
 def valid_leaf_counts(params: fc.Params, top: int) -> list[int]:
     return list(range(1, top + 1, params.step))
+
+
+def cycle_words(params: fc.Params, length: int) -> dict[int, list[tuple]]:
+    """The cycle lemma's words N^first S N^tail[0] S .. S N^tail[-1] of
+    `length` down-steps, by leading run: every tail of `length` runs,
+    each a multiple of m-1 below K, that leaves at least m-1 of the
+    length to the first run; for each first run in ascending order."""
+    words = {first: [] for first in range(params.step, length + 1,
+                                          params.step)}
+    runs = range(0, params.modulus, params.step)
+    for tail in itertools.product(runs, repeat=length):
+        first = length - sum(tail)
+        if first in words:
+            words[first].append(tail)
+    return words
+
+
+def is_dyck_word(first: int, tail: tuple) -> bool:
+    """Whether the word N^first S N^tail[0] S .. S N^tail[-1], read as a
+    lattice path, stays on or above the axis and ends on it."""
+    height = first
+    for run in tail:
+        height -= 1
+        if height < 0:
+            return False
+        height += run
+    return height == 0
+
+
+def dyck_shifts(first: int, tail: tuple) -> int:
+    """How many of the cyclic shifts of the tail, the first run kept,
+    make a Dyck word."""
+    return sum(is_dyck_word(first, tail[j:] + tail[:j])
+               for j in range(len(tail)))
 
 
 def edit_once(rng, text: str, chars: str) -> str:

@@ -16,6 +16,7 @@ from functools import lru_cache
 import pytest
 
 import fusscat as fc
+from conftest import cycle_words, dyck_shifts, is_dyck_word
 
 P32 = fc.Params(3, 2)
 
@@ -227,14 +228,13 @@ def test_criterion_08_rotation_decomposition(announce):
 def test_criterion_09_cycle_shift_fractions(announce):
     with announce(9, "cycle fractions rebuild the count at m=3 k=2 L=6"):
         total = 0
+        by_first = cycle_words(P32, 6)
         for first, expected in ((2, 15), (4, 6), (6, 1)):
-            words = list(fc.enumerate_prefixed_words(P32, 6, first))
+            words = by_first[first]
             assert len(words) == expected
-            for w in words:
-                shifts = sum(1 for j in range(6)
-                             if fc.cyclic_shift(w, j).is_dyck_path())
-                assert shifts == first
-            members = [w for w in words if w.is_dyck_path()]
+            for tail in words:
+                assert dyck_shifts(first, tail) == first
+            members = [tail for tail in words if is_dyck_word(first, tail)]
             assert len(members) * 6 == first * len(words)
             total += len(members)
         assert total == fc.modular_fuss_catalan(P32, 6) == 10

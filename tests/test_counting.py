@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import itertools
 import re
 import time
 import tracemalloc
@@ -12,7 +11,8 @@ from contextlib import contextmanager
 import pytest
 
 import fusscat as fc
-from conftest import GRID_PARAMS, comb, valid_leaf_counts
+from conftest import (GRID_PARAMS, cycle_words, dyck_shifts, is_dyck_word,
+                      valid_leaf_counts)
 
 P32 = fc.Params(3, 2)
 P22 = fc.Params(2, 2)
@@ -415,7 +415,7 @@ def test_traced_classes_make_no_tree_rotation(monkeypatch):
                               (("left", (), 1),), ()))]
 
 
-def _runs(d):
+def _code(d):
     """A tuple as the closure reads it: node counts and a closing "\\0"."""
     return "".join([chr(e // d.step) for e in d.entries]) + "\0"
 
@@ -428,10 +428,10 @@ def test_a_closure_that_is_not_the_class_is_an_internal_error(change):
     from fusscat.rotation import _traces
 
     reports = fc.enumerate_classes(P32, 7)
-    rep = _runs(reports[-1].representative)
-    members = [_runs(fc.to_dyck(t, P32)) for t in reports[-1].members]
+    rep = _code(reports[-1].representative)
+    members = [_code(fc.to_dyck(t, P32)) for t in reports[-1].members]
     if change == "one more":
-        members.append(_runs(reports[0].representative))
+        members.append(_code(reports[0].representative))
     else:
         members.pop()
     message = ("rotation closure of the representative disagrees with the "
@@ -497,7 +497,7 @@ def _reference_classes(params, leaves, with_traces):
     reports = []
     for members in groups.values():
         rep = fc.canonicalize(members[0], params)
-        traces = (_traces(_runs(rep), list(map(_runs, members)), params)
+        traces = (_traces(_code(rep), list(map(_code, members)), params)
                   if with_traces else None)
         reports.append((rep, tuple(fc.from_dyck(d, params) for d in members),
                         traces))
@@ -515,9 +515,9 @@ def test_enumerate_classes_matches_the_decoding_route():
 
 
 def test_enumerate_classes_stays_within_its_memory():
-    # 58,786 trees in one class.  Each tree's runs are one string and its
+    # 58,786 trees in one class.  Each tree's code is one string and its
     # index one int in its group, with no tuple per tree: the peak was
-    # 17.8-18.5 MB on Python 3.10-3.13, and 28.5-29.1 MB with a runs tuple
+    # 17.8-18.5 MB on Python 3.10-3.13, and 28.5-29.1 MB with a code tuple
     # and a key tuple per tree.  22 MB leaves room for object sizes, which
     # differ a little between the versions CI runs.
     tracemalloc.start()
@@ -614,93 +614,35 @@ def test_enumerate_classes_rejects_bad_leaf_count():
 
 # --------------------------------------------------------------- cycle words
 
-def test_cyclic_shift_rotates_the_tail_only():
-    w = fc.PrefixedWord(2, (2, 0, 2, 0, 0, 0))
-    assert fc.cyclic_shift(w, 0) == w
-    assert fc.cyclic_shift(w, 6) == w  # full cycle
-    assert fc.cyclic_shift(w, 2).tail == (2, 0, 0, 0, 2, 0)
-    assert fc.cyclic_shift(w, 2).first == 2
-    a = fc.cyclic_shift(fc.cyclic_shift(w, 3), 4)
-    assert a == fc.cyclic_shift(w, (3 + 4) % 6)
-
-
-def test_cyclic_shift_rejects_out_of_range():
-    w = fc.PrefixedWord(2, (2, 0, 2, 0, 0, 0))
-    with pytest.raises(fc.DomainError):
-        fc.cyclic_shift(w, -1)
-    with pytest.raises(fc.DomainError):
-        fc.cyclic_shift(w, 7)
-
-
-def test_enumerate_prefixed_words_counts():
-    for first, expected in ((2, 15), (4, 6), (6, 1)):
-        words = list(fc.enumerate_prefixed_words(P32, 6, first))
-        assert len(words) == expected
-        tails = [w.tail for w in words]
-        assert tails == sorted(tails)
-        for w in words:
-            assert w.first == first
-            assert all(e in (0, 2) for e in w.tail)
-            assert first + sum(w.tail) == 6
-
-
-def test_enumerate_prefixed_words_matches_direct_product_filter():
-    # At Params(2, 1) no tail run is below K - s = 0, so only first =
-    # length has a word.
-    for params in (fc.Params(2, 1), P22, P32, fc.Params(2, 3),
-                   fc.Params(4, 2)):
-        length = 5 if params.m == 2 else 6
-        values = range(0, params.modulus, params.step)
-        for first in range(params.step, length + 1, params.step):
-            expected = sorted(
-                tail for tail in itertools.product(values, repeat=length)
-                if sum(tail) == length - first)
-            got = [w.tail for w in
-                   fc.enumerate_prefixed_words(params, length, first)]
-            assert got == expected
-
-
-def test_enumerate_prefixed_words_rejects_bad_runs():
-    with pytest.raises(fc.ArityError):
-        list(fc.enumerate_prefixed_words(P32, 6, 1))
-    with pytest.raises(fc.ArityError):
-        list(fc.enumerate_prefixed_words(P32, 6, 0))
-    with pytest.raises(fc.ArityError):
-        list(fc.enumerate_prefixed_words(P32, 6, 8))
-    with pytest.raises(fc.ArityError):
-        list(fc.enumerate_prefixed_words(P32, 5, 2))
-
-
-def test_exactly_first_run_many_shifts_are_dyck():
-    for first in (2, 4, 6):
-        for w in fc.enumerate_prefixed_words(P32, 6, first):
-            dyck_shifts = [j for j in range(6)
-                           if fc.cyclic_shift(w, j).is_dyck_path()]
-            assert len(dyck_shifts) == first
-
-
-def test_dyck_members_are_the_minimal_tuples():
-    # words that are Dyck paths biject with minimal tuples: the leading
-    # run becomes the first entry, the tail (minus its final 0) the rest
-    minimal = {d.entries for d in fc.enumerate_tuples(P32, 6)
-               if fc.is_minimal(d, P32)}
-    collected = set()
-    for first in (2, 4, 6):
-        words = list(fc.enumerate_prefixed_words(P32, 6, first))
-        dyck = [w for w in words if w.is_dyck_path()]
-        assert len(dyck) * 6 == first * len(words)  # cycle fraction
-        for w in dyck:
-            d = w.to_dyck_tuple(P32)
-            assert fc.is_minimal(d, P32)
-            collected.add(d.entries)
-    assert collected == minimal
-
-
-def test_to_dyck_tuple_rejects_non_dyck_words():
-    w = fc.PrefixedWord(2, (0, 2, 0, 0, 2, 0))  # dips below the axis
-    assert not w.is_dyck_path()
-    with pytest.raises(fc.FormatError):
-        w.to_dyck_tuple(P32)
-    trailing = fc.PrefixedWord(2, (0, 0, 0, 0, 2, 2))
-    with pytest.raises(fc.FormatError):
-        trailing.to_dyck_tuple(P32)
+def test_the_cycle_lemma_holds_for_each_first_entry():
+    # The formula is the paper's sum over the first up-run l of l/L times
+    # the words with leading run l.  For each l: exactly l of the L shifts
+    # of each word are Dyck paths, the Dyck words are the minimal tuples
+    # of first entry l, which enumerate_classes reports, and the counts by
+    # l sum to the formula.  A bug that moves classes between first
+    # entries, keeping the total, fails here.
+    cells = 0
+    for params in GRID_PARAMS:
+        top = 10 if params.m == 2 else 12
+        for length in range(params.step, top + 1, params.step):
+            if (fc.fuss_catalan(params.m, length + 1) > 60_000
+                    or params.k ** length > 200_000):
+                continue
+            cells += 1
+            reps = {}
+            for report in fc.enumerate_classes(params, length + 1):
+                entries = report.representative.entries
+                reps.setdefault(entries[0], set()).add(entries)
+            total = 0
+            for first, words in cycle_words(params, length).items():
+                dyck = set()
+                for tail in words:
+                    assert dyck_shifts(first, tail) == first, \
+                        (params, length, first, tail)
+                    if is_dyck_word(first, tail):
+                        dyck.add((first, *tail[:-1]))
+                assert dyck == reps.get(first, set()), (params, length, first)
+                total += len(dyck)
+            assert total == fc.modular_fuss_catalan(params, length), \
+                (params, length)
+    assert cells == 58

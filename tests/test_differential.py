@@ -226,7 +226,7 @@ def _reference_sites(tree, m: int, k: int, direction: str):
 @pytest.mark.parametrize("k", [1, 2])
 def test_a_large_arity_cell_against_the_reference(k):
     # At m = 300 an entry is 299 times its node count, so the classes,
-    # whose runs hold node counts, and the moves, which edit them by k,
+    # whose codes hold node counts, and the moves, which edit them by k,
     # are checked where counts and entries differ most.
     from test_counting import _reference_classes
 

@@ -268,18 +268,18 @@ def test_copies_of_a_decoded_tree_encode_alike():
 # ------------------------------------------------------------ coded trees
 
 def test_coded_runs_are_node_counts_in_tuple_order():
-    # A tree's runs hold one character per leaf: the nodes that open
+    # A tree's code holds one character per leaf: the nodes that open
     # before it (its entry over s), then the last leaf's closing "\0".
     for params in GRID_PARAMS:
         for leaves in valid_leaf_counts(params, 9):
-            runs, trees = _coded_trees(params, leaves - 1)
-            assert len(runs) == len(trees)
+            codes, trees = _coded_trees(params, leaves - 1)
+            assert len(codes) == len(trees)
             tuples = list(fc.enumerate_tuples(params, leaves - 1))
-            assert [tuple_of([params.step * ord(c) for c in r[:-1]], params)
-                    for r in sorted(runs)] == tuples
-            for r, t in zip(runs, trees):
-                assert r[-1] == "\0"
-                assert tuple(params.step * ord(c) for c in r[:-1]) \
+            assert [tuple_of([params.step * ord(c) for c in code[:-1]], params)
+                    for code in sorted(codes)] == tuples
+            for code, t in zip(codes, trees):
+                assert code[-1] == "\0"
+                assert tuple(params.step * ord(c) for c in code[:-1]) \
                     == fc.to_dyck(t, params).entries
 
 
@@ -291,9 +291,9 @@ def test_a_lazy_root_equals_the_eager_tree_exhaustive():
     # point meets one whose children were never read.
     for params in GRID_PARAMS[::3]:
         for leaves in valid_leaf_counts(params, 8):
-            for runs, eager in zip(*_coded_trees(params, leaves - 1)):
+            for code, eager in zip(*_coded_trees(params, leaves - 1)):
                 # node counts, and a closing "\0"
-                d = tuple_of([params.step * ord(c) for c in runs[:-1]], params)
+                d = tuple_of([params.step * ord(c) for c in code[:-1]], params)
 
                 def lazy():
                     return fc.from_dyck(d, params)

@@ -19,8 +19,6 @@ SIZED = {
     "modular_fuss_catalan": fc.modular_fuss_catalan,
     "count_minimal_brute": fc.count_minimal_brute,
     "enumerate_classes": lambda p, n: fc.enumerate_classes(p, n + 1),
-    "enumerate_prefixed_words":
-        lambda p, n: list(fc.enumerate_prefixed_words(p, n, p.step)),
     "enumerate_tuples": lambda p, n: list(fc.enumerate_tuples(p, n)),
     "enumerate_trees": lambda p, n: list(fc.enumerate_trees(p, n + 1)),
 }

@@ -2,7 +2,7 @@
 package's modules, the CLI module leaves the layers, json and
 dataclasses to the commands that need them, argparse is loaded only for
 help, --version and a command line the plain reader leaves to it, and
-no plain command loads typing."""
+neither a plain command nor any one module loads typing."""
 
 from __future__ import annotations
 
@@ -16,6 +16,9 @@ import pytest
 import fusscat
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(fusscat.__file__)))
+MODULES = sorted("fusscat" + ("" if name == "__init__" else "." + name)
+                 for name, ext in map(os.path.splitext, os.listdir(
+                     os.path.dirname(fusscat.__file__))) if ext == ".py")
 
 WATCHED = ("__future__", "argparse", "dataclasses", "json")
 
@@ -123,7 +126,7 @@ def test_every_public_name_resolves_lazily():
         "exec('from fusscat import *', star)\n"
         "print(json.dumps([unresolved, unlisted, sorted(set(names) - set(star)),"
         " len(names), fusscat.__version__]))")
-    assert json.loads(printed[0]) == [[], [], [], 46, "0.1.0"]
+    assert json.loads(printed[0]) == [[], [], [], 43, "0.1.0"]
 
 
 def test_unknown_attribute_is_an_attribute_error():
@@ -225,3 +228,12 @@ def test_plain_commands_never_import_typing(argv):
                         "code = fusscat.cli.main(%r)\n"
                         "print(code, 'typing' in sys.modules)" % (argv,), "-S")
     assert printed[-1] == "0 False"
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_imports_typing(module):
+    # Each module takes typing's TYPE_CHECKING flag as a plain False, so
+    # importing any one of them, under -S as above, loads no typing.
+    printed, _ = _fresh("import sys, %s\n"
+                        "print('typing' in sys.modules)" % module, "-S")
+    assert printed == ["False"]
