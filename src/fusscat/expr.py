@@ -20,10 +20,17 @@ expression may hold wins over any other error, and the other errors
 come in the order a scan from the left meets them; the text is searched
 for the error and its offset, with patterns compiled, only on failure.
 
-unparse() names the leaves x1..xN from the left.  The "full" style
-parenthesizes every internal node below the root; the "minimal" style
-also inlines a first child whose subtree is a plain chain of leaves,
-the paren omission the left-associative reading recovers by itself.
+unparse() names the leaves x1..xN from the left.  The names come from
+one module-level list, x1 on, which the writer slices per call and
+grows on demand up to 4,096 names (_NAMES_CAP); names past the cap are
+formatted per call, so a huge text leaves no more than that behind.
+The list is rebound to a longer copy, never edited, so writers in
+several threads may lose a growth but never read a wrong name.
+
+The "full" style parenthesizes every internal node below the root; the
+"minimal" style also inlines a first child whose subtree is a plain
+chain of leaves, the paren omission the left-associative reading
+recovers by itself.
 """
 
 from itertools import accumulate, compress
@@ -64,6 +71,8 @@ _NO_DIGITS = str.maketrans("", "", "d")
 _PARENS = str.maketrans("", "", "a*")  # tokens to their parentheses
 _CUTS = bytes.maketrans(b")", b"(")  # '(' for either parenthesis
 _GAPS = ("**", "(*", "*)", "()")  # an operand missing at the second token
+_NAMES_CAP = 4096  # leaf names that _write keeps
+_names: list[str] = []  # x1, x2, ..: rebound to a longer copy, never edited
 
 
 def _fault(text: str, tokens: str, gap: int, stop: int, start: int,
@@ -167,9 +176,13 @@ def _write(entries: tuple[int, ...], m: int, style: str) -> str:
     next nonzero entry falls among the operands of it and the chain below
     it.  The leaves between two nonzero entries open no node, so the
     pass steps over them from one node they complete to the next."""
+    global _names
     s = m - 1
     n = len(entries)  # the last leaf has no entry
-    out = [f"x{i}" for i in range(1, n + 2)]  # each leaf with its parens
+    out = _names[:n + 1]  # each leaf with its parens
+    if len(out) <= n:  # format the names past the cache, and cache a copy
+        out += [f"x{i}" for i in range(len(out) + 1, n + 2)]
+        _names = out[:_NAMES_CAP]
     heads = list(compress(range(n), entries))  # the leaves nodes open before
     # Per open node, the children it waits for and the ')' that ends it
     # (or ""), over a bottom entry that no run of leaves reaches.

@@ -608,14 +608,22 @@ def test_unexpected_exception_exits_3(run, monkeypatch):
     assert err == "error: internal: ValueError: boom\n"
 
 
-def test_python_dash_m_runs_the_cli():
+def _dash_m(module: str) -> tuple[int, str, str]:
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     done = subprocess.run(
-        [sys.executable, "-m", "fusscat.cli", "count", "--m", "3", "--k",
-         "2", "--length", "6"],
+        [sys.executable, "-m", module, "count", "--m", "3", "--k", "2",
+         "--length", "6"],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True,
         text=True, timeout=60)
-    assert (done.returncode, done.stdout, done.stderr) == (0, "10\n", "")
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_python_dash_m_runs_the_cli():
+    assert _dash_m("fusscat.cli") == (0, "10\n", "")
+
+
+def test_python_dash_m_fusscat_runs_the_cli():
+    assert _dash_m("fusscat") == (0, "10\n", "")
 
 
 # ---------------------------------------------------------------------- fuzz
@@ -698,19 +706,30 @@ def _fuzz_argv(rng):
                        ["table", "--m-range"], ["equiv", "--m", "2"]))
 
 
-def test_fuzzed_argv_keep_the_exit_code_contract(run, monkeypatch):
-    # Random argv over every command, with malformed numbers, ranges and
-    # texts: each exit is 0, 1 or 2, and only exit 2 writes to stderr, in
-    # one "error:" line.  Exit 3 would be a crash.
+def _fuzz_runs():
+    """The fuzz's seeded runs: argv, FUSSCAT_BUDGET (None for unset) and
+    the stdin that a "-" operand reads."""
     rng = random.Random(19)
     for _ in range(2500):
         argv = _fuzz_argv(rng)
         budget = rng.choice((None, "50", "x", "-1"))
-        if budget is None:
-            monkeypatch.delenv("FUSSCAT_BUDGET", raising=False)
-        else:
-            monkeypatch.setenv("FUSSCAT_BUDGET", budget)
-        code, out, err = run(*argv, stdin=_fuzz_expression(rng, 2, 3) + "\n")
+        yield argv, budget, _fuzz_expression(rng, 2, 3) + "\n"
+
+
+def _set_budget(monkeypatch, budget):
+    if budget is None:
+        monkeypatch.delenv("FUSSCAT_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("FUSSCAT_BUDGET", budget)
+
+
+def test_fuzzed_argv_keep_the_exit_code_contract(run, monkeypatch):
+    # Random argv over every command, with malformed numbers, ranges and
+    # texts: each exit is 0, 1 or 2, and only exit 2 writes to stderr, in
+    # one "error:" line.  Exit 3 would be a crash.
+    for argv, budget, stdin in _fuzz_runs():
+        _set_budget(monkeypatch, budget)
+        code, out, err = run(*argv, stdin=stdin)
         shown = [a if len(a) < 40 else "%d chars" % len(a) for a in argv]
         assert code in (0, 1, 2), (shown, err[:200])
         if code == 2:
@@ -745,3 +764,57 @@ def test_the_plain_reader_reads_as_argparse_does(capsys):
                 full = capsys.readouterr().err
             assert vars(plain) == full, case
     assert taken > tried // 4
+
+
+# ------------------------------------------------------------ frozen outputs
+
+# Per command: how many runs, and the SHA-256 of their (argv, exit code,
+# stdout, stderr) in order, over the runs below that the plain reader
+# takes, as the CLI printed them before the writer cached its leaf names.
+_OUTPUT_DIGESTS = {
+    "count": (309, "18af16ab0bcd4531e1e97a852e8d8f60"
+                   "6a38920234e7b242cd12e36561b7c80c"),
+    "equiv": (352, "1da18e2eb171123bc9f87e37e0415b19"
+                   "b679ca0cc66e931eac3d3574044c5899"),
+    "canon": (203, "989a2e58bf9cac1dd2c2fc3bba34b33f"
+                   "a8ece14ca93f0964d92c8d427bfbf6c0"),
+    "convert": (274, "22b70a618831eb134a229fc68cb51766"
+                     "f3ea939c025deab399363c283bfc23b2"),
+    "table": (156, "b31d5e0f5da7e83dce0e96897753b6b8"
+                   "527820582591518c1b7380f8c690f9dc"),
+    "verify": (208, "f6ff11feb843ff40b8a13ac42e647056"
+                    "0fdb677880fa9082d70db4c92f08866e"),
+}
+
+
+def _oneshot_argv(monkeypatch) -> list[list[str]]:
+    """The 300 argv of the cli_oneshot benchmark's seeds 1 to 3, as
+    perfbench/workloads.py makes them."""
+    monkeypatch.syspath_prepend(os.path.join(
+        os.path.dirname(os.path.abspath(__file__)), os.pardir, "perfbench"))
+    from workloads import CliOneshot
+
+    return [inp["argv"] for seed in (1, 2, 3)
+            for inp in CliOneshot().make(seed)]
+
+
+def test_every_command_prints_what_it_printed_before(run, monkeypatch):
+    # Characterization: the benchmark's command lines with no budget set,
+    # then the fuzz's with their budgets and stdin.  Argv that argparse
+    # reads print its version-dependent text, so they are left out, as is
+    # a number past the 4,300 digits that int() reads from Python 3.11
+    # on, which only Python 3.10's plain reader takes.
+    start = time.monotonic()
+    runs = [(argv, None, None) for argv in _oneshot_argv(monkeypatch)]
+    hashes = {}
+    for argv, budget, stdin in runs + list(_fuzz_runs()):
+        if cli._plain(argv) is None or any(
+                a.isdigit() and len(a) > 4300 for a in argv):
+            continue
+        _set_budget(monkeypatch, budget)
+        count, digest = hashes.setdefault(argv[0], [0, hashlib.sha256()])
+        digest.update(repr((argv, *run(*argv, stdin=stdin))).encode())
+        hashes[argv[0]][0] += 1
+    assert {command: (count, digest.hexdigest())
+            for command, (count, digest) in hashes.items()} == _OUTPUT_DIGESTS
+    assert time.monotonic() - start < 3.0

@@ -15,12 +15,14 @@ import json
 import pickle
 import random
 import time
+import tracemalloc
 from contextlib import redirect_stdout
 
 import pytest
 
 import fusscat as fc
 import fusscat.cli as cli
+from fusscat import expr
 from conftest import comb
 
 BUDGET_S = 20.0
@@ -100,6 +102,24 @@ def test_library_pipeline_on_1e5_operands(shape, budget):
     assert fc.to_dyck(u, P) == canon
     for style in ("minimal", "full"):
         assert fc.parse(fc.unparse(u, style), P) == u
+
+
+def test_unparse_of_1e5_leaves_keeps_only_the_capped_names(budget,
+                                                          monkeypatch):
+    # The writer keeps the first _NAMES_CAP leaf names, some 250 kB, and
+    # formats the rest per call: all 10^5 would keep about 6 MB.
+    text, entries = _shape("random")
+    t = fc.from_dyck(fc.DyckTuple(entries, P.step), P)
+    monkeypatch.setattr(expr, "_names", [])
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert fc.unparse(t) == text
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert expr._names == _names(expr._NAMES_CAP)
+    assert kept < 100 * expr._NAMES_CAP
 
 
 def _cli(*argv):

@@ -20,11 +20,14 @@ import os
 import random
 import re
 import string
+import sys
+import threading
 import time
 
 import pytest
 
 import fusscat as fc
+from fusscat import expr
 from fusscat.expr import _read
 from conftest import edit_once
 
@@ -133,6 +136,80 @@ def test_edited_texts_are_refused_as_the_reference_refuses_them(m):
     assert 0 < accepted < 400  # both outcomes are exercised
 
 
+def _case(entries, exact: bool) -> tuple:
+    return (fc.from_dyck(fc.DyckTuple(entries, 1), fc.Params(2, 1)),
+            entries, ref.write_text(ref.tuple_to_tree(entries, 2)), exact)
+
+
+def _cap_cases(rng: random.Random) -> list:
+    """(tree, path tuple, reference text, whether fusscat's text is the
+    same) for binary trees of one less than, as many as and one more than
+    the leaf names the writer keeps: the left and right combs, whose
+    minimal texts are the reference's, and a random tree of each size."""
+    return [_case(entries, exact) for leaves in range(
+                expr._NAMES_CAP - 1, expr._NAMES_CAP + 2)
+            for entries, exact in (((leaves - 1,) + (0,) * (leaves - 2), True),
+                                   ((1,) * (leaves - 1), True),
+                                   (ref.random_tuple(rng, 2, leaves), False))]
+
+
+_NO_PARENS = str.maketrans("", "", "()")
+
+
+def _as_the_reference(text: str, entries, want: str, exact: bool) -> bool:
+    """Whether fusscat's minimal text is the reference text or, where the
+    two writers' parentheses differ, has its names and '*'s in order and
+    reads back as the tree's tuple."""
+    return text == want if exact else (
+        text.translate(_NO_PARENS) == want.translate(_NO_PARENS)
+        and ref.text_to_tuple(text, 2) == entries)
+
+
+def test_texts_about_the_name_cache_cap_are_the_reference_texts(monkeypatch):
+    # The writer slices its leaf names from a cache of _NAMES_CAP names
+    # and formats the rest per call: each text is written once as the
+    # cache grows to the cap and once from the full cache.
+    for tree, *case in _cap_cases(random.Random("differential cap")):
+        monkeypatch.setattr(expr, "_names", [])
+        for _ in range(2):
+            assert _as_the_reference(fc.unparse(tree), *case)
+        assert len(expr._names) == min(len(case[0]) + 1, expr._NAMES_CAP)
+
+
+def test_concurrent_writers_read_the_reference_names(monkeypatch):
+    # Eight threads write small texts and the texts above, each in its
+    # own order, from an empty cache and with thread switches as often as
+    # the interpreter allows: a writer may lose another's growth of the
+    # cache, never read a wrong name.
+    cases = _cap_cases(random.Random("differential cap")) + [
+        _case((2, 0), True), _case((1, 1, 1), True),
+        _case((40,) + (0,) * 39, True)]
+    barrier = threading.Barrier(8)
+    wrong = []
+
+    def writer(seed: int) -> None:
+        order = random.Random(seed).sample(cases, len(cases))
+        barrier.wait()
+        for tree, *case in order:
+            if not _as_the_reference(fc.unparse(tree), *case):
+                wrong.append((seed, len(case[0])))
+
+    monkeypatch.setattr(expr, "_names", [])
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=writer, args=(seed,))
+                   for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert wrong == []
+    assert len(expr._names) <= expr._NAMES_CAP
+
+
 def _seeded_tuples(tag: str, count: int):
     """(m, k, entries, rng) for seeded random tuples with m 2..5, k 1..4
     and 3 to 300 leaves (at least two entries)."""
@@ -223,6 +300,32 @@ def _reference_sites(tree, m: int, k: int, direction: str):
     return sites
 
 
+def _check_moves(d: fc.DyckTuple, params: fc.Params) -> int:
+    """Check the sites of d both ways against the reference's, and
+    compress at each against its rotated tuple; return the moves."""
+    m, k = params.m, params.k
+    t = fc.from_dyck(d, params)
+    tree = ref.tuple_to_tree(d.entries, m)
+    moves = 0
+    for direction in ("right", "left"):
+        sites = _reference_sites(tree, m, k, direction)
+        assert fc.rotation_sites(t, params, direction) == sorted(sites)
+        for site, turned in sites.items():
+            assert fc.compress(d, site, params, direction).entries == turned
+        moves += len(sites)
+    return moves
+
+
+def test_rotation_sites_and_compress_agree_with_the_reference():
+    # 200 seeded tuples with m 2..5, k 1..4 and up to 300 leaves: every
+    # site either way, and every move, within a few seconds.
+    start = time.monotonic()
+    moves = sum(_check_moves(fc.DyckTuple(entries, m - 1), fc.Params(m, k))
+                for m, k, entries, _ in _seeded_tuples("rotation", 200))
+    assert moves > 5000
+    assert time.monotonic() - start < 10.0
+
+
 @pytest.mark.parametrize("k", [1, 2])
 def test_a_large_arity_cell_against_the_reference(k):
     # At m = 300 an entry is 299 times its node count, so the classes,
@@ -235,17 +338,8 @@ def test_a_large_arity_cell_against_the_reference(k):
     reports = fc.enumerate_classes(params, leaves, with_traces=True)
     assert [(r.representative, r.members, r.traces) for r in reports] \
         == _reference_classes(params, leaves, with_traces=True)
-    moves = 0
-    for d in fc.enumerate_tuples(params, leaves - 1):
-        t = fc.from_dyck(d, params)
-        for direction in ("right", "left"):
-            sites = _reference_sites(ref.tuple_to_tree(d.entries, m), m, k,
-                                     direction)
-            assert fc.rotation_sites(t, params, direction) == sorted(sites)
-            for site, turned in sites.items():
-                assert fc.compress(d, site, params, direction).entries \
-                    == turned
-            moves += len(sites)
+    moves = sum(_check_moves(d, params)
+                for d in fc.enumerate_tuples(params, leaves - 1))
     # k = 1: one class of 300 trees, 299 moves each way; k = 2: two
     # nodes make no chain of two below a child, so 300 singletons.
     assert (len(reports), moves) == ((1, 598) if k == 1 else (300, 0))
