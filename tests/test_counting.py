@@ -159,16 +159,15 @@ def test_ballot_dp_agrees_with_independent_oracle():
 
 
 def test_formula_agrees_with_ballot_dp_up_to_length_200():
-    # brute force stops near L = 14; the dynamic program is polynomial
-    for m in (2, 3, 4):
-        step = m - 1
-        lengths = sorted(set(range(0, 25, step))
-                         | set(range(step * 13, 201, step * 13))
-                         | {200 - 200 % step})
-        for k in range(1, 7):
-            counts = _ballot_minimal_counts(m, k, lengths[-1])
+    # brute force stops near L = 14; the dynamic program is polynomial.
+    # Every valid length meets the formula's running term at each of its
+    # steps: 3,360 cells, one DP pass per (m, k).
+    for m in (2, 3, 4, 5):
+        top = 200 - 200 % (m - 1)
+        for k in range(1, 9):
+            counts = _ballot_minimal_counts(m, k, top)
             params = fc.Params(m, k)
-            for length in lengths:
+            for length in range(0, top + 1, m - 1):
                 assert fc.modular_fuss_catalan(params, length) \
                     == counts[length], (m, k, length)
 
@@ -312,6 +311,15 @@ def test_degenerate_k_one_gives_full_associativity(large_budget):
             for length in _large_lengths(m - 1):
                 assert fc.modular_fuss_catalan(params, length) == 1, \
                     (m, length)
+    # C_{1,n} = 1 at the largest lengths that the work limit admits, sums
+    # of L/(m-1) + 1 terms, under a wall-clock bound of their own.
+    start = time.monotonic()
+    for m, length in ((2, 4095), (3, 5158), (4, 5904)):
+        assert fc.modular_fuss_catalan(fc.Params(m, 1), length) == 1, \
+            (m, length)
+        with pytest.raises(fc.BudgetError):
+            fc.modular_fuss_catalan(fc.Params(m, 1), length + m - 1)
+    assert time.monotonic() - start < 1.0
 
 
 def test_saturated_k_counts_every_tree(large_budget):

@@ -259,7 +259,9 @@ def test_signatures_and_canonical_forms_agree_with_the_reference():
 
 def test_partners_are_equivalent_as_the_reference_made_them():
     # ref.partner moves K between entries, and for a pair it makes
-    # inequivalent also moves m-1 so that the signature changes.
+    # inequivalent also moves m-1 so that the signature changes.  The
+    # signatures and the exponent-vector evaluation of the decoded trees
+    # must both find what it made.
     verdicts = {True: 0, False: 0}
     for m, k, entries, rng in _seeded_tuples("partners", 400):
         params = fc.Params(m, k)
@@ -270,7 +272,10 @@ def test_partners_are_equivalent_as_the_reference_made_them():
             continue
         a, b = (fc.DyckTuple(e, m - 1) for e in (entries, other))
         assert fc.equivalent(a, b, params) is same
-        assert fc.equivalent(fc.from_dyck(a, params), b, params) is same
+        tree = fc.from_dyck(a, params)
+        assert fc.equivalent(tree, b, params) is same
+        assert fc.equivalent_by_eval(tree, fc.from_dyck(b, params),
+                                     params) is same
         verdicts[same] += 1
     assert min(verdicts.values()) > 100
 
