@@ -12,7 +12,8 @@ tail entries below K from the last one back, and budgets those tuples;
 the classes routes budget trees.  `enumerate_classes` builds every tree
 once, over the smaller trees it holds, so the members of its classes
 share their subtrees; it keys each tree by one `translate` of its
-node-count string, and reads each minimal tuple off that key.
+node-count string, and reads each minimal tuple off the last code of
+its group, in sorted order.
 `verify --classes` needs only the number of classes, so it keys the
 walker's tuples by their residues instead and builds no tree.
 """
@@ -144,13 +145,14 @@ def enumerate_classes(params: Params, leaves: int, with_traces: bool = False,
         groups.setdefault(codes[i].translate(residue), []).append(i)
 
     reports = []
-    for key, group in groups.items():
-        rep = _minimal([s * ord(c) for c in key[1:-1]], length, s)
-        # The closure starts from rep's code: the key with rep's first count
+    for group in groups.values():
+        # The minimal member sorts last: its later counts are the residues,
+        # the least they can be, so any other member's first is smaller.
+        seed = codes[group[-1]]
+        rep = _minimal([s * ord(c) for c in seed[1:-1]], length, s)
         reports.append(ClassReport(
             rep, len(group), tuple(map(trees.__getitem__, group)),
-            _traces(chr(rep.entries[0] // s) + key[1:] if length else key,
-                    list(map(codes.__getitem__, group)), params)
+            _traces(seed, list(map(codes.__getitem__, group)), params)
             if with_traces else None))
     reports.sort(key=lambda r: r.representative.entries)
     return reports
@@ -164,7 +166,6 @@ def _count_classes(params: Params, length: int,
     from .dyck import _entry_lists
 
     _check_budget(params, length, budget)
-    s, modulus = params.step, params.modulus
-    floors = [(i // s + 1) * s for i in range(length)]  # as enumerate_tuples
+    modulus = params.modulus
     return len({tuple([e % modulus for e in entries[1:]])
-                for entries in _entry_lists(floors, s)})
+                for entries in _entry_lists(length, params.step)})

@@ -96,17 +96,15 @@ def enumerate_tuples(params: Params, length: int) -> "Iterator[DyckTuple]":
     lexicographic order."""
     params.check_length(length)
     s = params.step
-    # The path condition: the first i+1 entries reach i+1, rounded up
-    # to a multiple of s.
+    return (DyckTuple(entries, s) for entries in _entry_lists(length, s))
+
+
+def _entry_lists(length: int, s: int) -> "Iterator[list[int]]":
+    """Every list of length multiples of s that sum to the length and
+    whose first i+1 entries reach floors[i], i+1 rounded up to a multiple
+    of s (the path condition), in ascending order; one list, edited in
+    place between yields.  The caller checks the length."""
     floors = [(i // s + 1) * s for i in range(length)]
-    return (DyckTuple(entries, s) for entries in _entry_lists(floors, s))
-
-
-def _entry_lists(floors: "Sequence[int]", s: int) -> "Iterator[list[int]]":
-    """Every list of multiples of s whose first i+1 entries sum to at
-    least floors[i] (the last floor is the total), in ascending order;
-    one list, edited in place between yields."""
-    goal = floors[-1] if floors else 0
     entries: list[int] = []
     done = 0
     while True:
@@ -118,7 +116,7 @@ def _entry_lists(floors: "Sequence[int]", s: int) -> "Iterator[list[int]]":
         yield entries
         # Drop the entries that cannot grow by s, then grow the last one
         # left; the floors leave the later entries room for the rest.
-        while entries and done + s > goal:
+        while entries and done + s > length:
             done -= entries.pop()
         if not entries:
             return
@@ -156,20 +154,15 @@ def from_dyck(d: DyckTuple, params: Params) -> "Tree":
 
     Decoding is lazy: the root keeps d and builds its children on first
     read, so to_dyck and unparse of it build nothing.  The call checks at
-    once, in integers, that _rebuild would consume the whole path; the
-    one-leaf tree is shared and keeps nothing."""
+    once that d is a path, through DyckTuple's own check, so that
+    _rebuild will consume the whole path; the one-leaf tree is shared and
+    keeps nothing."""
     _check_step(d, params)
-    if not d.entries:
-        return _tree.leaf()
-    s = d.step
-    size = 1  # the stack of subtrees _rebuild would hold
-    for up in reversed(d.entries):
-        size += 1 - up // s * s
-        if size < 1:
-            break
-    if size != 1 or min(d.entries) < 0:
-        raise InternalInvariantError("path not fully consumed")
-    return _tree._Decoded(d)
+    try:
+        DyckTuple(d.entries, d.step)
+    except FormatError:
+        raise InternalInvariantError("path not fully consumed") from None
+    return _tree._Decoded(d) if d.entries else _tree.leaf()
 
 
 def enumerate_trees(params: Params, leaves: int) -> "Iterator[Tree]":

@@ -70,9 +70,7 @@ class Tree:
         pairs = [(self, other)]
         while pairs:
             a, b = pairs.pop()
-            # Kept hashes reject early where both trees have one.
-            if len(a.children) != len(b.children) or (
-                    a._hash != b._hash and None not in (a._hash, b._hash)):
+            if len(a.children) != len(b.children):
                 return False
             for x, y in zip(a.children, b.children):
                 if x is not y:

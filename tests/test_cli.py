@@ -608,6 +608,16 @@ def test_unexpected_exception_exits_3(run, monkeypatch):
     assert err == "error: internal: ValueError: boom\n"
 
 
+def test_a_closed_stdout_exits_2(run, monkeypatch):
+    class Closed(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError
+
+    monkeypatch.setattr("sys.stdout", Closed())
+    code, _, err = run("count", "--m", "3", "--k", "2", "--length", "6")
+    assert (code, err) == (2, "")
+
+
 def _dash_m(module: str) -> tuple[int, str, str]:
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     done = subprocess.run(

@@ -370,6 +370,8 @@ def test_enumerate_classes_reports_are_sorted_and_minimal():
     assert [r.entries for r in reps] == sorted(r.entries for r in reps)
     for report in reports:
         assert fc.is_minimal(report.representative, P32)
+        # The minimal member sorts last; enumerate_classes seeds on it.
+        assert fc.to_dyck(report.members[-1], P32) == report.representative
         assert report.size == len(report.members)
         for member in report.members:
             assert fc.equivalent(member, report.representative, P32)

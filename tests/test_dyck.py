@@ -173,6 +173,18 @@ def test_from_dyck_refuses_a_forged_path_at_the_call(entries):
         fc.from_dyck(d, fc.Params(2, 1))
 
 
+@pytest.mark.parametrize("entries, m", [((3, 0), 3), (("1", 0), 2)])
+def test_from_dyck_refuses_a_forged_entry_at_the_call(entries, m):
+    # An entry that is no multiple of the step, where sum and height fit,
+    # or no integer at all: the constructor's check refuses both.
+    d = object.__new__(fc.DyckTuple)  # bypasses the validity checks
+    object.__setattr__(d, "entries", entries)
+    object.__setattr__(d, "step", m - 1)
+    with pytest.raises(fc.InternalInvariantError,
+                       match="^path not fully consumed$"):
+        fc.from_dyck(d, fc.Params(m, 1))
+
+
 def test_roundtrip_tree_tuple_tree_small_exhaustive():
     for params in GRID_PARAMS[::3]:
         for leaves in valid_leaf_counts(params, 8):
@@ -224,10 +236,12 @@ def test_a_parsed_tree_encodes_as_the_text_reader(text):
 
 
 def test_a_step_mismatch_still_walks_and_raises():
+    # The evaluator and the depth matrix walk the tree as to_dyck does.
     t = fc.from_dyck(tuple_of((2, 0, 2, 0), P32), P32)
-    with pytest.raises(fc.ArityError, match="^tree contains a node with 3 "
-                       "children, expected 2$"):
-        fc.to_dyck(t, fc.Params(2, 1))
+    for walk in (fc.to_dyck, fc.eval_recursive, fc.depth_matrix):
+        with pytest.raises(fc.ArityError, match="^tree contains a node with "
+                           "3 children, expected 2$"):
+            walk(t, fc.Params(2, 1))
 
 
 def test_the_shared_leaf_keeps_no_tuple():

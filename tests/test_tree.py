@@ -175,6 +175,12 @@ def test_unequal_trees_of_one_size_compare_unequal():
                     assert (a == b) == (i == j)
 
 
+def test_a_tree_compared_with_another_type_defers_to_it():
+    other = object()
+    assert fc.leaf().__eq__(other) is NotImplemented
+    assert fc.leaf() != other
+
+
 def test_rotation_sites_left_comb():
     assert fc.rotation_sites(comb(P32, 7), P32, "right") == [((), 1)]
     assert fc.rotation_sites(fc.leaf(), P32, "right") == []
