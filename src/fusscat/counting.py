@@ -10,10 +10,11 @@ exist so the formula is never the only route to a number, and refuse to
 start over budget.  `count_minimal_brute` walks only the minimal tuples,
 tail entries below K from the last one back, and budgets those tuples;
 the classes routes budget trees.  `enumerate_classes` builds every tree
-once, over the smaller trees it holds, so the members of its classes
-share their subtrees; it keys each tree by one `translate` of its
-node-count string, and reads each minimal tuple off the last code of
-its group, in sorted order.
+once per process, up to the cap of the trees `dyck._coded_trees` keeps,
+over the smaller trees it holds, so the members of its classes share
+their subtrees, also with those of later calls; it keys each tree by
+one `translate` of its node-count string, and reads each minimal tuple
+off the last code of its group, in sorted order.
 `verify --classes` needs only the number of classes, so it keys the
 walker's tuples by their residues instead and builds no tree.
 """

@@ -17,6 +17,11 @@ loop over its child counts backwards, so neither has a depth limit.
 Decoding is lazy: from_dyck's root keeps its tuple, which to_dyck and
 unparse read in O(1), and builds its children when they are first read.
 
+_coded_trees, enumerate_classes' builder, makes each size of trees over
+the smaller ones and keeps the sizes it has made per arity, up to
+_CODED_CAP trees in all, so that a sweep over k and L builds each tree
+once per process; the lists it returns are shared and never edited.
+
 Under the encoding a right k-rotation becomes a two-entry rewrite: one
 entry drops by K = k(m-1) and a later one grows by K, which the rotation
 module reads off the tuple.  Hence the residues mod K of d2..d_L classify
@@ -24,6 +29,8 @@ trees up to k-rotations, and each class has exactly one tuple whose
 entries after the first are all < K.  Only the functions that build or
 refuse a tree load the tree module, through _tree, when they first run.
 """
+
+from itertools import accumulate
 
 from .errors import FormatError, InternalInvariantError, SizeError
 from .params import Params, _Record
@@ -162,13 +169,25 @@ def from_dyck(d: DyckTuple, params: Params) -> "Tree":
         DyckTuple(d.entries, d.step)
     except FormatError:
         raise InternalInvariantError("path not fully consumed") from None
+    return _decode(d)
+
+
+def _decode(d: DyckTuple) -> "Tree":
+    """from_dyck of a tuple this package has just built, and so checked:
+    parse's and enumerate_trees'."""
     return _tree._Decoded(d) if d.entries else _tree.leaf()
 
 
 def enumerate_trees(params: Params, leaves: int) -> "Iterator[Tree]":
     """Every tree with the given number of leaves, in the order of their
     tuples from enumerate_tuples, which checks the size at the call."""
-    return (from_dyck(d, params) for d in enumerate_tuples(params, leaves - 1))
+    return map(_decode, enumerate_tuples(params, leaves - 1))
+
+
+_CODED_CAP = 2**15  # the trees that _coded_trees keeps, over all arities
+# m: the (codes, trees) of each size from 0 nodes up; rebound to a longer
+# copy, never edited, so a thread may lose a growth but reads no part size.
+_coded: "dict[int, list[tuple[list[str], list[Tree]]]]" = {}
 
 
 def _coded_trees(params: Params, length: int) -> "tuple[list[str], list[Tree]]":
@@ -181,10 +200,19 @@ def _coded_trees(params: Params, length: int) -> "tuple[list[str], list[Tree]]":
     collector.  Builds size by size: a tree with i internal nodes is a
     node over m trees with i-1 in all, so each tree is made once and
     shared by every larger tree that holds it; a node's code is its
-    children's joined, with one more node before the first leaf."""
-    m, Tree = params.m, _tree.Tree
-    sized = [(["\0"], [_tree.leaf()])]  # sized[i]: codes, trees with i nodes
-    for i in range(1, length // params.step + 1):
+    children's joined, with one more node before the first leaf.
+
+    The sizes built are kept per m in _coded while it holds at most
+    _CODED_CAP trees in all (at m = 2, the sizes up to 10 nodes), so a
+    later call builds only the sizes past the ones kept, and a larger size
+    is built per call.  The lists returned are shared: never edit them."""
+    global _coded
+    m, n, store = params.m, length // params.step, _coded
+    stored = store.get(m) or [(["\0"], [_tree.leaf()])]
+    if n < len(stored):
+        return stored[n]
+    sized, Tree = list(stored), _tree.Tree
+    for i in range(len(sized), n + 1):
         heads = [("", (), 0)]  # the first m-1 children: (code, trees, nodes)
         for _ in range(m - 1):
             heads = [(code + c, kids + (t,), used + j)
@@ -196,7 +224,13 @@ def _coded_trees(params: Params, length: int) -> "tuple[list[str], list[Tree]]":
              for code, _, used in heads for c in sized[i - 1 - used][0]],
             [Tree(kids + (t,))
              for _, kids, used in heads for t in sized[i - 1 - used][1]]))
-    return sized[-1]
+    others = sum(len(trees) for key, sizes in store.items() if key != m
+                 for _, trees in sizes)
+    kept = sum(others + total <= _CODED_CAP
+               for total in accumulate(len(trees) for _, trees in sized))
+    if kept > len(stored):
+        _coded = {**store, m: sized[:kept]}
+    return sized[n]
 
 
 def depth_to_tuple(dm, params: Params) -> DyckTuple:

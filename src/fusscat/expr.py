@@ -35,7 +35,7 @@ recovers by itself.
 
 from itertools import accumulate, compress
 
-from .dyck import DyckTuple, from_dyck, to_dyck
+from .dyck import DyckTuple, _decode, to_dyck
 from .errors import ArityError, ParseError
 from .params import Params
 
@@ -214,8 +214,9 @@ def _write(entries: tuple[int, ...], m: int, style: str) -> str:
 
 def parse(text: str, params: Params) -> "Tree":
     """Parse an expression into its tree; variable names are discarded
-    (only the shape matters)."""
-    return from_dyck(_read(text, params), params)
+    (only the shape matters).  _read's tuple is checked once, as it is
+    built, and decoded as it is."""
+    return _decode(_read(text, params))
 
 
 def unparse(t: "Tree", style: str = "minimal") -> str:

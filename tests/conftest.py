@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 
 import hypothesis.strategies as st
+import pytest
 
 import fusscat as fc
 
@@ -18,6 +19,20 @@ def comb(params: fc.Params, leaves: int) -> fc.Tree:
 
 def valid_leaf_counts(params: fc.Params, top: int) -> list[int]:
     return list(range(1, top + 1, params.step))
+
+
+@pytest.fixture
+def tuples_built(monkeypatch) -> list[tuple]:
+    """The entries of each DyckTuple constructed while the test runs."""
+    built: list[tuple] = []
+    init = fc.DyckTuple.__init__
+
+    def counted(self, entries, step):
+        built.append(tuple(entries))
+        init(self, entries, step)
+
+    monkeypatch.setattr(fc.DyckTuple, "__init__", counted)
+    return built
 
 
 def cycle_words(params: fc.Params, length: int) -> dict[int, list[tuple]]:

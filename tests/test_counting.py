@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import random
 import re
+import sys
+import threading
 import time
 import tracemalloc
 from contextlib import contextmanager
@@ -11,6 +14,7 @@ from contextlib import contextmanager
 import pytest
 
 import fusscat as fc
+from fusscat import dyck
 from conftest import (GRID_PARAMS, cycle_words, dyck_shifts, is_dyck_word,
                       valid_leaf_counts)
 
@@ -451,7 +455,8 @@ def test_a_closure_that_is_not_the_class_is_an_internal_error(change):
         _traces(rep, members, P32)
 
 
-def test_enumerate_classes_builds_one_tuple_per_class(monkeypatch):
+def test_enumerate_classes_builds_one_tuple_per_class(monkeypatch,
+                                                     tuples_built):
     # The representative is read off the group key: one DyckTuple per
     # class, and no canonicalize.
     import fusscat.dyck
@@ -461,21 +466,13 @@ def test_enumerate_classes_builds_one_tuple_per_class(monkeypatch):
 
     for module in (fc, fusscat.dyck):
         monkeypatch.setattr(module, "canonicalize", refuse)
-    built = []
-    init = fc.DyckTuple.__init__
-
-    def counted(self, entries, step):
-        built.append(tuple(entries))
-        init(self, entries, step)
-
-    monkeypatch.setattr(fc.DyckTuple, "__init__", counted)
     for params in GRID_PARAMS:
         for leaves in valid_leaf_counts(params, 9):
             for with_traces in (False, True):
-                del built[:]
+                del tuples_built[:]
                 reports = fc.enumerate_classes(params, leaves, with_traces)
-                assert sorted(built) == [r.representative.entries
-                                         for r in reports], (params, leaves)
+                assert sorted(tuples_built) == [
+                    r.representative.entries for r in reports], (params, leaves)
 
 
 # SHA-256 over the repr of every traced class list with at most 9 leaves,
@@ -553,6 +550,100 @@ def test_class_members_share_their_subtrees(m, leaves, distinct):
             seen.add(id(node))
             todo.extend(node.children)
     assert len(seen) == distinct
+
+
+# Every class cell of m 2..4 and k 1..3 up to 11 leaves: what the class
+# benchmark runs, and at m = 2 sizes up to 10 nodes, all in the store.
+_STORE_CELLS = [(params, leaves) for params in GRID_PARAMS
+                for leaves in valid_leaf_counts(params, 11)]
+
+
+def _stored_trees():
+    return sum(len(trees) for sizes in dyck._coded.values()
+               for _, trees in sizes)
+
+
+def _cold_reprs(cells, monkeypatch, with_traces=False):
+    """repr of each cell's reports, each from an emptied store."""
+    reprs = []
+    for params, leaves in cells:
+        monkeypatch.setattr(dyck, "_coded", {})
+        reprs.append(repr(fc.enumerate_classes(params, leaves, with_traces)))
+    return reprs
+
+
+def test_a_warm_store_gives_the_reports_of_a_cold_one(monkeypatch):
+    # Largest cell first, so that each arity's later cells read every size
+    # from the store, and the arities fill it in turn.
+    cells = _STORE_CELLS[::-1]
+    cold = _cold_reprs(cells, monkeypatch, with_traces=True)
+    monkeypatch.setattr(dyck, "_coded", {})
+    assert [repr(fc.enumerate_classes(params, leaves, with_traces=True))
+            for params, leaves in cells] == cold
+    assert set(dyck._coded) == {2, 3, 4}
+
+
+def test_calls_share_the_stored_trees(monkeypatch):
+    monkeypatch.setattr(dyck, "_coded", {})
+    first, second = (fc.enumerate_classes(fc.Params(2, 1), 11)[0].members
+                     for _ in range(2))
+    assert len(first) == 16796
+    assert all(a is b for a, b in zip(first, second))
+
+
+def test_a_size_past_the_cap_is_built_per_call(monkeypatch):
+    # 58,786 trees of 11 nodes would pass the cap; the 23,714 of up to 10
+    # nodes that the call builds first are kept.
+    monkeypatch.setattr(dyck, "_coded", {})
+    fc.enumerate_classes(fc.Params(2, 1), 12)
+    assert _stored_trees() <= dyck._CODED_CAP
+    assert len(dyck._coded[2]) == 11
+
+
+def test_the_full_store_stays_within_its_memory(monkeypatch):
+    # The largest sizes the cap keeps at m 2..4, in this order, 26,624 trees
+    # in all: the next size of each would pass it.  tracemalloc saw the
+    # store keep 4.9 to 5.1 MB on Python 3.10 to 3.13; 8 MB leaves room
+    # for the object sizes of other versions.
+    monkeypatch.setattr(dyck, "_coded", {})
+    tracemalloc.start()
+    try:
+        for m, length in ((2, 10), (3, 12), (4, 15)):
+            dyck._coded_trees(fc.Params(m, 1), length)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert {m: len(sizes) for m, sizes in dyck._coded.items()} \
+        == {2: 11, 3: 7, 4: 6}
+    assert kept < 8_000_000
+
+
+def test_threads_that_fill_the_store_get_the_cold_reports(monkeypatch):
+    # Eight threads, switching every microsecond, grow the store from empty
+    # at once; a thread may lose another's growth, but no report may change.
+    cells = random.Random(29).choices(_STORE_CELLS, k=24)
+    cold = _cold_reprs(cells, monkeypatch)
+    monkeypatch.setattr(dyck, "_coded", {})
+    got = [None] * len(cells)
+
+    def enumerate_every_eighth(start):
+        for i in range(start, len(cells), 8):
+            got[i] = repr(fc.enumerate_classes(*cells[i]))
+
+    threads = [threading.Thread(target=enumerate_every_eighth, args=(i,))
+               for i in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert got == cold
+    assert _stored_trees() <= dyck._CODED_CAP
 
 
 def test_enumerate_classes_budget():

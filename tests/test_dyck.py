@@ -194,6 +194,14 @@ def test_roundtrip_tree_tuple_tree_small_exhaustive():
                 assert fc.to_dyck(fc.from_dyck(d, params), params) == d
 
 
+def test_enumerate_trees_builds_one_tuple_per_tree(tuples_built):
+    for params in GRID_PARAMS[::3]:
+        for leaves in valid_leaf_counts(params, 8):
+            del tuples_built[:]
+            trees = list(fc.enumerate_trees(params, leaves))
+            assert len(tuples_built) == len(trees), (params, leaves)
+
+
 def _rebuilt(t):
     """A copy of t built node by node with Tree(children), leaves
     included, so no node of it keeps a tuple."""

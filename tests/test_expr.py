@@ -144,6 +144,25 @@ def test_parse_arity_error_offsets(text, offset):
     assert info.value.offset == offset
 
 
+@pytest.mark.parametrize("text", ["a", "a*b*c", "(a b c) d e",
+                                  "a b (c d (e f g))"])
+def test_parse_checks_the_readers_tuple_once_and_keeps_it(text, monkeypatch,
+                                                          tuples_built):
+    from fusscat import expr
+
+    read = []
+
+    def reader(text, params):
+        read.append(_read(text, params))
+        return read[-1]
+
+    monkeypatch.setattr(expr, "_read", reader)
+    tree = fc.parse(text, P32)
+    assert len(tuples_built) == 1
+    if tree.children:  # the one-leaf tree is shared and keeps no tuple
+        assert fc.to_dyck(tree, P32) is read[0]
+
+
 def test_unparse_leaf():
     assert fc.unparse(fc.leaf()) == "x1"
     assert fc.unparse(fc.leaf(), "full") == "x1"
