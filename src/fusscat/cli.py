@@ -291,10 +291,10 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     args = _plain(argv) or _build_parser().parse_args(argv)
     # A count may have more digits than Python (3.11 on) converts to text
-    # by default, so the commands that print counts lift that limit.
+    # by default.  Every command runs without that limit: the arguments
+    # are read before, and parse_dyck's digit guard bounds every entry.
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    lift = digits and args.func in (_cmd_count, _cmd_table, _cmd_verify)
-    if lift:
+    if digits:
         sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
@@ -308,7 +308,7 @@ def main(argv=None) -> int:
               file=sys.stderr)
         return 3
     finally:
-        if lift:
+        if digits:
             sys.set_int_max_str_digits(digits)
 
 

@@ -13,8 +13,8 @@ the classes routes budget trees.  `enumerate_classes` builds every tree
 once per process, up to the cap of the trees `dyck._coded_trees` keeps,
 over the smaller trees it holds, so the members of its classes share
 their subtrees, also with those of later calls; it keys each tree by
-one `translate` of its node-count string, and reads each minimal tuple
-off the last code of its group, in sorted order.
+one `translate` of its node-count string.  Each representative is its
+seed's own tuple, the seed being its group's last code in sorted order.
 `verify --classes` needs only the number of classes, so it keys the
 walker's tuples by their residues instead and builds no tree.
 """
@@ -131,7 +131,7 @@ def enumerate_classes(params: Params, leaves: int, with_traces: bool = False,
     Refuses to start when the tree count exceeds the budget (argument,
     else the FUSSCAT_BUDGET environment variable, else one million).
     """
-    from .dyck import _coded_trees, _minimal
+    from .dyck import DyckTuple, _coded_trees
     from .rotation import _traces
 
     length = leaves - 1
@@ -150,9 +150,9 @@ def enumerate_classes(params: Params, leaves: int, with_traces: bool = False,
         # The minimal member sorts last: its later counts are the residues,
         # the least they can be, so any other member's first is smaller.
         seed = codes[group[-1]]
-        rep = _minimal([s * ord(c) for c in seed[1:-1]], length, s)
         reports.append(ClassReport(
-            rep, len(group), tuple(map(trees.__getitem__, group)),
+            DyckTuple([s * ord(c) for c in seed[:-1]], s), len(group),
+            tuple(map(trees.__getitem__, group)),
             _traces(seed, list(map(codes.__getitem__, group)), params)
             if with_traces else None))
     reports.sort(key=lambda r: r.representative.entries)

@@ -26,18 +26,20 @@ Under the encoding a right k-rotation becomes a two-entry rewrite: one
 entry drops by K = k(m-1) and a later one grows by K, which the rotation
 module reads off the tuple.  Hence the residues mod K of d2..d_L classify
 trees up to k-rotations, and each class has exactly one tuple whose
-entries after the first are all < K.  Only the functions that build or
-refuse a tree load the tree module, through _tree, when they first run.
+entries after the first are all < K, which canonicalize computes in
+closed form and enumerate_classes reads off the class's seed code.
+Only the functions that build or refuse a tree load the tree module,
+through _tree, when they first run.
 """
 
 from itertools import accumulate
 
 from .errors import FormatError, InternalInvariantError, SizeError
-from .params import Params, _Record
+from .params import Params, _Record, _check_option
 
 TYPE_CHECKING = False  # typing's flag, without loading typing (and re)
 if TYPE_CHECKING:
-    from collections.abc import Iterator, Sequence
+    from collections.abc import Iterator
     from .tree import Tree
 
 
@@ -289,11 +291,10 @@ def parse_dyck(text: str, params: Params) -> DyckTuple:
 
 def print_dyck(d: DyckTuple, fmt: str = "tuple") -> str:
     """Render a tuple in "tuple" or "ns" form; inverse of parse_dyck."""
+    _check_option("fmt", fmt, ("tuple", "ns"))
     if fmt == "ns":
         return "".join("N" * e + "S" for e in d.entries)
-    if fmt == "tuple":
-        return "(" + ",".join(str(e) for e in d.entries) + ")"
-    raise ValueError("fmt must be 'tuple' or 'ns', got %r" % (fmt,))
+    return "(" + ",".join(str(e) for e in d.entries) + ")"
 
 
 def is_minimal(d: DyckTuple, params: Params) -> bool:
@@ -315,18 +316,13 @@ def canonicalize(d: DyckTuple, params: Params) -> DyckTuple:
     """The unique minimal tuple equivalent to d, in closed form: reduce
     every entry after the first mod K and give the first entry whatever
     is left of the total: signature's residues, with modulus read once."""
-    return _minimal(signature(d, params), len(d.entries), d.step)
-
-
-def _minimal(tail: "Sequence[int]", length: int, step: int) -> DyckTuple:
-    """The minimal tuple of the given length with tail after its first
-    entry; canonicalize and enumerate_classes build theirs here."""
+    tail, length = signature(d, params), len(d.entries)
     try:
-        return DyckTuple((length - sum(tail), *tail) if length else (), step)
+        return DyckTuple((length - sum(tail), *tail) if length else (), d.step)
     except FormatError as exc:
         raise InternalInvariantError(
             "minimal tuple of signature %r is not a valid tuple: %s"
-            % (tuple(tail), exc)) from exc
+            % (tail, exc)) from exc
 
 
 def equivalent(a: "DyckTuple | Tree", b: "DyckTuple | Tree",

@@ -37,7 +37,7 @@ from itertools import accumulate, compress
 
 from .dyck import DyckTuple, _decode, to_dyck
 from .errors import ArityError, ParseError
-from .params import Params
+from .params import Params, _check_option
 
 TYPE_CHECKING = False  # typing's flag, without loading typing (and re)
 if TYPE_CHECKING:
@@ -225,7 +225,6 @@ def unparse(t: "Tree", style: str = "minimal") -> str:
     Both styles parse back to the same tree; the minimal style is
     injective on trees of a fixed leaf count.  A tree that from_dyck
     decoded is printed from the tuple it keeps, with no walk."""
-    if style not in ("minimal", "full"):
-        raise ValueError("style must be 'minimal' or 'full', got %r" % (style,))
+    _check_option("style", style, ("minimal", "full"))
     m = max(2, len(t.children)) if t._dyck is None else t._dyck.step + 1
     return _write(to_dyck(t, Params(m, 1)).entries, m, style)

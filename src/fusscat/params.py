@@ -11,6 +11,13 @@ import sys
 from .errors import ArityError, DomainError
 
 
+def _check_option(name: str, value, choices: tuple[str, ...]) -> None:
+    """Refuse an option value outside its choices, before any work."""
+    if value not in choices:
+        raise ValueError("%s must be %s, got %r"
+                         % (name, " or ".join(map(repr, choices)), value))
+
+
 class _Record:
     """Immutable value with the fields named in `__slots__`, in order.
     It compares and hashes as the tuple of its fields, never equals an

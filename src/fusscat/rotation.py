@@ -11,7 +11,7 @@ from bisect import bisect
 
 from .dyck import DyckTuple, _check_step, to_dyck
 from .errors import InternalInvariantError, SiteError
-from .params import Params
+from .params import Params, _check_option
 
 TYPE_CHECKING = False  # typing's flag, without loading typing (and re)
 if TYPE_CHECKING:
@@ -114,10 +114,8 @@ def rotation_sites(t: "Tree", params: Params, direction: str = "right") -> "list
 
     Right rotation needs child j to head a first-child chain of at least
     k internal nodes; left rotation needs the same of child j+1."""
+    _check_option("direction", direction, ("right", "left"))
     counts = [e // params.step for e in to_dyck(t, params).entries]
-    if direction not in ("right", "left"):
-        raise ValueError("direction must be 'right' or 'left', got %r"
-                         % (direction,))
     right, left, runs = _move_table(counts, params)
     return [(_address(runs, node), position) for node, position, _, _
             in (right if direction == "right" else left)]
@@ -129,9 +127,7 @@ def compress(d: DyckTuple, site: "Site", params: Params,
     edit from _move_table, -K at the earlier entry and +K at the later one
     for direction "right" (the reverse for "left").  Builds no tree; a
     site where the tree rotation fails raises the same SiteError."""
-    if direction not in ("right", "left"):
-        raise ValueError("direction must be 'right' or 'left', got %r"
-                         % (direction,))
+    _check_option("direction", direction, ("right", "left"))
     address, position = site
     _check_step(d, params)
     m = params.m

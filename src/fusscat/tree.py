@@ -50,17 +50,17 @@ class Tree:
     @property
     def leaf_count(self) -> int:
         """Number of leaves: the zeros among the child counts."""
-        return self._counts().count(0)
+        return self._child_counts().count(0)
 
-    def _counts(self) -> list[int]:
+    def _child_counts(self) -> list[int]:
         """The child count of every node in preorder, by one walk."""
-        counts = []
+        child_counts = []
         todo = [self]
         while todo:
             children = todo.pop().children
-            counts.append(len(children))
+            child_counts.append(len(children))
             todo.extend(reversed(children))
-        return counts
+        return child_counts
 
     def __eq__(self, other) -> bool:
         if self is other:
@@ -110,7 +110,7 @@ class Tree:
         """Copy and pickle as the child counts in preorder, which _rebuild
         reads back in one loop; the default protocol would recurse once
         per level."""
-        return _rebuild, (self._counts(),)
+        return _rebuild, (self._child_counts(),)
 
 
 class _Decoded(Tree):
@@ -130,13 +130,13 @@ class _Decoded(Tree):
         # The preorder child counts: m for each of the up/s nodes that open
         # before a leaf, 0 for the leaf, and 0 for the last leaf.
         s = self._dyck.step
-        counts = []
+        child_counts = []
         for up in self._dyck.entries:
             if up:  # no empty list for the many entries of 0
-                counts += [s + 1] * (up // s)
-            counts.append(0)
-        counts.append(0)
-        self.children = _rebuild(counts).children
+                child_counts += [s + 1] * (up // s)
+            child_counts.append(0)
+        child_counts.append(0)
+        self.children = _rebuild(child_counts).children
         return self.children
 
     @property
@@ -152,11 +152,11 @@ class _Decoded(Tree):
 _LEAF = Tree()
 
 
-def _rebuild(counts: list[int]) -> Tree:
+def _rebuild(child_counts: list[int]) -> Tree:
     """The tree whose preorder child counts are given, built backwards in
     the one loop that decoding and copying share; leaves are shared."""
     stack: list[Tree] = []
-    for count in reversed(counts):
+    for count in reversed(child_counts):
         if count:
             children = tuple(stack[:-count - 1:-1])
             del stack[-count:]
@@ -310,15 +310,15 @@ def depth_matrix(t: Tree, params: Params) -> DepthMatrix:
     """Compute the m x N matrix of per-label edge depths of t."""
     m = params.m
     columns: list[tuple[int, ...]] = []
-    todo = [(t, (0,) * m)]  # (node, label counts on its root path), preorder
+    todo = [(t, (0,) * m)]  # (node, label depths on its root path), preorder
     while todo:
-        node, counts = todo.pop()
+        node, depths = todo.pop()
         if node.is_leaf:
-            columns.append(counts)
+            columns.append(depths)
             continue
         if len(node.children) != m:
             raise _arity_error(node, params)
         for i in range(m - 1, -1, -1):
             todo.append((node.children[i],
-                         counts[:i] + (counts[i] + 1,) + counts[i + 1:]))
+                         depths[:i] + (depths[i] + 1,) + depths[i + 1:]))
     return DepthMatrix(tuple(zip(*columns)))

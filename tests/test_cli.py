@@ -94,6 +94,50 @@ def test_count_prints_more_digits_than_the_int_to_text_limit(run):
         set_digits(limit)
 
 
+# Each command once on an input it runs, once on one it refuses.
+_LIMIT_ARGVS = [
+    (["count", "--m", "3", "--k", "2", "--length", "6"], 0),
+    (["count", "--m", "3", "--k", "2", "--length", "5"], 2),
+    (["equiv", "--m", "2", "--k", "1", "x1*x2*x3", "(x1*x2)*x3"], 0),
+    (["equiv", "--m", "2", "--k", "1", "x1*", "x1*x2"], 2),
+    (["canon", "--m", "3", "--k", "2", "--in", "dyck", "(2,0,2,0)"], 0),
+    (["canon", "--m", "3", "--k", "2", "x1*x2"], 2),
+    (["convert", "--m", "2", "--from", "dyck", "--to", "ns", "(2,0)"], 0),
+    (["convert", "--m", "2", "--from", "dyck", "--to", "ns", "(0,2)"], 2),
+    (["table", "--m-range", "2..3", "--k-range", "1", "--length-range",
+      "1..4"], 0),
+    (["table", "--m-range", "1", "--k-range", "1", "--length-range", "1"], 2),
+    (["verify", "--m-range", "2", "--k-range", "1", "--max-length", "3"], 0),
+    (["verify", "--m-range", "3", "--k-range", "1", "--max-length", "1"], 2),
+]
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="Python before 3.11 has no int-to-text limit")
+@pytest.mark.parametrize("argv, code", _LIMIT_ARGVS,
+                         ids=lambda value: value[0]
+                         if isinstance(value, list) else str(value))
+def test_every_command_lifts_the_int_to_text_limit_and_restores_it(
+        run, monkeypatch, argv, code):
+    # The limit each print of the command sees, and the one left after.
+    seen = []
+
+    def noting(*args, **kwargs):
+        seen.append(sys.get_int_max_str_digits())
+        print(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "print", noting, raising=False)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4321)
+    try:
+        got, _, _ = run(*argv)
+        after = sys.get_int_max_str_digits()
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert (got, after) == (code, 4321)
+    assert seen and set(seen) == {0}
+
+
 def test_count_requires_exactly_one_size_flag(run):
     code, _, _ = run("count", "--m", "3", "--k", "2",
                      "--length", "6", "--leaves", "7")

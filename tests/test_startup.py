@@ -129,6 +129,23 @@ def test_every_public_name_resolves_lazily():
     assert json.loads(printed[0]) == [[], [], [], 43, "0.1.0"]
 
 
+def test_dir_lists_every_public_name_before_any_is_read():
+    # Unlike _fresh, the process keeps the inherited PYTHONPATH after the
+    # source, so a site hook on it (as CI's dead-code report) sees it run.
+    code = ("import json, sys, fusscat\n"
+            "names = dir(fusscat)\n"
+            "print(json.dumps([names == sorted(names),\n"
+            "                  sorted(set(fusscat.__all__) - set(names)),\n"
+            "                  sorted(m for m in sys.modules\n"
+            "                         if m.startswith('fusscat'))]))")
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    done = subprocess.run([sys.executable, "-c", code],
+                          env=dict(os.environ, PYTHONPATH=path),
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == [True, [], ["fusscat"]]
+
+
 def test_unknown_attribute_is_an_attribute_error():
     printed, loaded = _fresh(
         "import fusscat\n"

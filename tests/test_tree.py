@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import re
 
 import pytest
 from hypothesis import given
@@ -253,6 +254,38 @@ def test_rotate_rejects_bad_sites():
 def test_rotation_sites_rejects_unknown_direction():
     with pytest.raises(ValueError):
         fc.rotation_sites(fc.leaf(), P32, "up")
+
+
+_COMB = comb(P32, 7)
+_BINARY = fc.Tree((fc.leaf(), fc.leaf()))  # no tree at arity 3
+_STEP_1 = fc.DyckTuple((1,), 1)  # no tuple at arity 3
+_DIRECTION = "direction must be 'right' or 'left', got %r"
+
+
+# Each call with a bad option value, first with valid other arguments,
+# then with others that the function would refuse otherwise, for the
+# option is checked before the tree's arity, the tuple's step and the site.
+@pytest.mark.parametrize("call, message", [
+    (lambda: fc.rotation_sites(_COMB, P32, "up"), _DIRECTION % "up"),
+    (lambda: fc.rotation_sites(_BINARY, fc.Params(3, 1), "up"),
+     _DIRECTION % "up"),
+    (lambda: fc.compress(fc.to_dyck(_COMB, P32), ((), 1), P32, None),
+     _DIRECTION % None),
+    (lambda: fc.compress(_STEP_1, ((9,), 1), P32, "Right"),
+     _DIRECTION % "Right"),
+    (lambda: fc.unparse(_COMB, "fancy"),
+     "style must be 'minimal' or 'full', got 'fancy'"),
+    (lambda: fc.unparse(fc.Tree((fc.leaf(),)), ""),
+     "style must be 'minimal' or 'full', got ''"),
+    (lambda: fc.print_dyck(fc.to_dyck(_COMB, P32), "runs"),
+     "fmt must be 'tuple' or 'ns', got 'runs'"),
+    (lambda: fc.print_dyck(None, "NS"), "fmt must be 'tuple' or 'ns', got 'NS'"),
+], ids=["rotation_sites", "rotation_sites-bad-tree", "compress",
+        "compress-bad-tuple-and-site", "unparse", "unparse-bad-tree",
+        "print_dyck", "print_dyck-no-tuple"])
+def test_a_bad_option_value_is_refused_first_with_its_message(call, message):
+    with pytest.raises(ValueError, match="^%s$" % re.escape(message)):
+        call()
 
 
 @given(params_and_tree(max_leaves=25))
