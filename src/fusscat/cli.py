@@ -25,10 +25,6 @@ from . import __version__
 from .errors import BudgetError, DomainError, FusscatError
 from .params import Params
 
-TYPE_CHECKING = False  # typing's flag, without loading typing (and re)
-if TYPE_CHECKING:
-    from .dyck import DyckTuple
-
 
 def _int_range(text: str) -> range:
     """Range syntax: "3" or "2..4" (inclusive); an empty one is refused."""

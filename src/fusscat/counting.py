@@ -26,12 +26,7 @@ from .formula import fuss_catalan, modular_fuss_catalan  # verify's route
 from .params import Params, _Record
 
 # The functions that walk trees or tuples import the tree and tuple
-# layers when they run, so verify's formula and brute load neither; here
-# they are imported for type checkers only.
-TYPE_CHECKING = False  # typing's flag, without loading typing (and re)
-if TYPE_CHECKING:
-    from .dyck import DyckTuple
-    from .tree import Tree
+# layers when they run, so verify's formula and brute load neither.
 
 RotationStep = tuple[str, tuple[int, ...], int]  # (direction, address, position)
 

@@ -37,11 +37,6 @@ from itertools import accumulate
 from .errors import FormatError, InternalInvariantError, SizeError
 from .params import Params, _Record, _check_option
 
-TYPE_CHECKING = False  # typing's flag, without loading typing (and re)
-if TYPE_CHECKING:
-    from collections.abc import Iterator
-    from .tree import Tree
-
 
 class _TreeLayer:
     """The tree module's stand-in: the first read from it imports the

@@ -39,10 +39,6 @@ from .dyck import DyckTuple, _decode, to_dyck
 from .errors import ArityError, ParseError
 from .params import Params, _check_option
 
-TYPE_CHECKING = False  # typing's flag, without loading typing (and re)
-if TYPE_CHECKING:
-    from .tree import Tree
-
 
 def _class(c: str) -> str:
     r"""The skeleton character of c, by the classes of re's \w, \d and

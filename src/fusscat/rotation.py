@@ -9,14 +9,10 @@ need the moves, so the tuple and text layers never load this module.
 
 from bisect import bisect
 
+from .counting import _budget
 from .dyck import DyckTuple, _check_step, to_dyck
-from .errors import InternalInvariantError, SiteError
+from .errors import BudgetError, InternalInvariantError, SiteError
 from .params import Params, _check_option
-
-TYPE_CHECKING = False  # typing's flag, without loading typing (and re)
-if TYPE_CHECKING:
-    from collections.abc import Iterable
-    from .tree import Site, Tree
 
 
 def _move_table(counts: "Iterable[int]", params: Params) -> tuple:
@@ -113,12 +109,26 @@ def rotation_sites(t: "Tree", params: Params, direction: str = "right") -> "list
     applies, ordered by address (lexicographic) then j.
 
     Right rotation needs child j to head a first-child chain of at least
-    k internal nodes; left rotation needs the same of child j+1."""
+    k internal nodes; left rotation needs the same of child j+1.  Before
+    building any address, refuses with BudgetError when the addresses
+    would hold more entries, their sites' summed depth, than the budget
+    (FUSSCAT_BUDGET, else one million)."""
     _check_option("direction", direction, ("right", "left"))
-    counts = [e // params.step for e in to_dyck(t, params).entries]
+    entries = to_dyck(t, params).entries
+    counts = [e // params.step for e in entries]
     right, left, runs = _move_table(counts, params)
+    moves = right if direction == "right" else left
+    depths: list[int] = []  # by node; a run's top lies one below its parent
+    for (top, parent, _), (end, *_) in zip(runs, runs[1:] + [(sum(counts),)]):
+        first = depths[parent] + 1 if top else 0
+        depths += range(first, first + end - top)
+    size = sum(depths[node] for node, *_ in moves)
+    budget = _budget(params, len(entries), None)
+    if size > budget:
+        raise BudgetError("addresses of %d entries exceed the budget of %d"
+                          % (size, budget))
     return [(_address(runs, node), position) for node, position, _, _
-            in (right if direction == "right" else left)]
+            in moves]
 
 
 def compress(d: DyckTuple, site: "Site", params: Params,

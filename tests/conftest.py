@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import os
 
 import hypothesis.strategies as st
 import pytest
@@ -10,6 +11,16 @@ import pytest
 import fusscat as fc
 
 GRID_PARAMS = [fc.Params(m, k) for m in (2, 3, 4) for k in (1, 2, 3)]
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(fc.__file__)))
+
+
+def child_env(**variables: str) -> dict[str, str]:
+    """The environment for a child interpreter: this one's, plus
+    variables, with the package source first on PYTHONPATH and the
+    inherited value after it, so a site hook on that path (as CI's
+    dead-code report) runs in the child too."""
+    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path, **variables)
 
 
 def comb(params: fc.Params, leaves: int) -> fc.Tree:

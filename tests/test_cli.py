@@ -18,7 +18,7 @@ import fusscat.counting
 import fusscat.dyck
 import fusscat.formula
 import fusscat.tree
-from conftest import edit_once
+from conftest import child_env, edit_once
 
 
 @pytest.fixture
@@ -479,8 +479,7 @@ def test_verify_classes_at_the_budget_edge_builds_no_tree():
     # the classes there took 286 MiB peak RSS.  The child reads its own
     # peak, VmHWM in KiB: ru_maxrss would keep the peak of this process,
     # from which the child was forked.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = child_env()
     env.pop("FUSSCAT_BUDGET", None)
     code = ("import sys\n"
             "from fusscat.cli import main\n"
@@ -663,12 +662,10 @@ def test_a_closed_stdout_exits_2(run, monkeypatch):
 
 
 def _dash_m(module: str) -> tuple[int, str, str]:
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     done = subprocess.run(
         [sys.executable, "-m", module, "count", "--m", "3", "--k", "2",
          "--length", "6"],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
-        text=True, timeout=60)
+        env=child_env(), capture_output=True, text=True, timeout=60)
     return done.returncode, done.stdout, done.stderr
 
 

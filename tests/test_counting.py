@@ -211,6 +211,21 @@ def test_the_work_limit_counts_terms_times_length_squared(monkeypatch):
         fc.fuss_catalan(2, 13)
 
 
+def test_the_formula_refuses_a_sum_that_does_not_divide(monkeypatch):
+    # Both counts end in an exact division; a binomial off by one, forged
+    # here, leaves a remainder, which raises rather than rounding down.
+    import fusscat.formula
+
+    comb = fusscat.formula.comb
+    monkeypatch.setattr(fusscat.formula, "comb", lambda n, r: comb(n, r) + 1)
+    with pytest.raises(fc.InternalInvariantError, match=re.escape(
+            "binom(8,4) not divisible by 5")):
+        fc.fuss_catalan(2, 5)
+    with pytest.raises(fc.InternalInvariantError, match=re.escape(
+            "class sum is not divisible by n(L+1) = 20")):
+        fc.modular_fuss_catalan(fc.Params(2, 1), 4)
+
+
 def test_count_minimal_brute_accepts_the_empty_length():
     assert fc.count_minimal_brute(P32, 0) == 1
     with pytest.raises(fc.ArityError):

@@ -202,6 +202,28 @@ def test_rotation_sites_on_deep_combs(budget):
         ((9,) * depth, 8) for depth in range(nodes - 1)]
 
 
+def test_rotation_sites_refuses_a_1e5_leaf_comb_at_once(monkeypatch):
+    # The right sites of a binary left comb lie at depths 0..n-2, so their
+    # addresses would hold (n-1)(n-2)/2 entries, 40 GB of pointers at
+    # n = 99,999 nodes; the count that refuses them first takes O(n).
+    monkeypatch.delenv("FUSSCAT_BUDGET", raising=False)
+    p = fc.Params(2, 1)
+    t = comb(p, OPERANDS)
+    refusal = "^addresses of 4999750003 entries exceed the budget of 1000000$"
+    start = time.monotonic()
+    with pytest.raises(fc.BudgetError, match=refusal):
+        fc.rotation_sites(t, p, "right")
+    assert time.monotonic() - start < 1.0
+    tracemalloc.start()
+    try:
+        with pytest.raises(fc.BudgetError, match=refusal):
+            fc.rotation_sites(t, p, "right")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
+
+
 def test_compress_on_a_1e5_leaf_comb(budget):
     # The left comb's tuple is (L, 0, .., 0).  The right move at depth i
     # takes K from the first entry and gives it to the leaf where child 2

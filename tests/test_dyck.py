@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import copy
 import hashlib
-import os
 import pickle
 import random
 import re
@@ -19,7 +18,8 @@ from hypothesis import given
 import fusscat as fc
 from fusscat.dyck import _coded_trees
 from fusscat.expr import _read, _write
-from conftest import GRID_PARAMS, comb, params_and_tree, valid_leaf_counts
+from conftest import (GRID_PARAMS, child_env, comb, params_and_tree,
+                      valid_leaf_counts)
 from test_counting import _oracle_tuples
 from test_expr import _random_entries
 
@@ -148,8 +148,7 @@ else:
 
 
 def test_from_dyck_invariant_checks_survive_python_O():
-    src = os.path.dirname(os.path.dirname(os.path.abspath(fc.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
+    env = child_env()
     for flags, optimize in (([], 0), (["-O"], 1)):
         done = subprocess.run([sys.executable, *flags, "-c",
                                _UNVALIDATED_FROM_DYCK],
@@ -183,6 +182,17 @@ def test_from_dyck_refuses_a_forged_entry_at_the_call(entries, m):
     with pytest.raises(fc.InternalInvariantError,
                        match="^path not fully consumed$"):
         fc.from_dyck(d, fc.Params(m, 1))
+
+
+def test_canonicalize_refuses_a_signature_that_makes_no_path(monkeypatch):
+    # A forged signature whose residues sum past the length leaves the
+    # first entry negative, so the minimal tuple it gives is no path.
+    import fusscat.dyck
+
+    monkeypatch.setattr(fusscat.dyck, "signature", lambda d, params: (0, 4))
+    with pytest.raises(fc.InternalInvariantError, match=re.escape(
+            "minimal tuple of signature (0, 4) is not a valid tuple: ")):
+        fc.canonicalize(fc.DyckTuple((3, 0, 0), 1), fc.Params(2, 1))
 
 
 def test_roundtrip_tree_tuple_tree_small_exhaustive():

@@ -14,8 +14,8 @@ import sys
 import pytest
 
 import fusscat
+from conftest import child_env
 
-SRC = os.path.dirname(os.path.dirname(os.path.abspath(fusscat.__file__)))
 MODULES = sorted("fusscat" + ("" if name == "__init__" else "." + name)
                  for name, ext in map(os.path.splitext, os.listdir(
                      os.path.dirname(fusscat.__file__))) if ext == ".py")
@@ -32,7 +32,7 @@ def _fresh(statements: str, *flags: str) -> tuple[list[str], list[str]]:
             "m.startswith('fusscat.') or m in %r)\n"
             "import json\nprint(json.dumps(loaded))\n" % (WATCHED,))
     done = subprocess.run([sys.executable, *flags, "-c", code],
-                          env=dict(os.environ, PYTHONPATH=SRC, COLUMNS="80"),
+                          env=child_env(COLUMNS="80"),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     *printed, loaded = done.stdout.splitlines()
@@ -130,17 +130,13 @@ def test_every_public_name_resolves_lazily():
 
 
 def test_dir_lists_every_public_name_before_any_is_read():
-    # Unlike _fresh, the process keeps the inherited PYTHONPATH after the
-    # source, so a site hook on it (as CI's dead-code report) sees it run.
     code = ("import json, sys, fusscat\n"
             "names = dir(fusscat)\n"
             "print(json.dumps([names == sorted(names),\n"
             "                  sorted(set(fusscat.__all__) - set(names)),\n"
             "                  sorted(m for m in sys.modules\n"
             "                         if m.startswith('fusscat'))]))")
-    path = os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH"))))
-    done = subprocess.run([sys.executable, "-c", code],
-                          env=dict(os.environ, PYTHONPATH=path),
+    done = subprocess.run([sys.executable, "-c", code], env=child_env(),
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == [True, [], ["fusscat"]]
@@ -249,8 +245,8 @@ def test_plain_commands_never_import_typing(argv):
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_module_imports_typing(module):
-    # Each module takes typing's TYPE_CHECKING flag as a plain False, so
-    # importing any one of them, under -S as above, loads no typing.
+    # No module imports typing, or any module that loads it, so importing
+    # any one of them, under -S as above, loads no typing.
     printed, _ = _fresh("import sys, %s\n"
                         "print('typing' in sys.modules)" % module, "-S")
     assert printed == ["False"]

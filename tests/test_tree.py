@@ -205,6 +205,29 @@ def test_rotation_sites_order_is_address_then_position():
             assert sites == sorted(sites)
 
 
+def test_rotation_sites_budget_their_address_entries(monkeypatch):
+    # The refusal counts the entries of the addresses it would return:
+    # a budget of exactly that many passes, one fewer refuses.
+    checked = 0
+    for params in (fc.Params(2, 1), fc.Params(3, 1), P32):
+        for t in fc.enumerate_trees(params, 1 + 4 * params.step):
+            for direction in ("right", "left"):
+                monkeypatch.delenv("FUSSCAT_BUDGET", raising=False)
+                sites = fc.rotation_sites(t, params, direction)
+                entries = sum(len(address) for address, _ in sites)
+                if not entries:
+                    continue
+                monkeypatch.setenv("FUSSCAT_BUDGET", str(entries))
+                assert fc.rotation_sites(t, params, direction) == sites
+                monkeypatch.setenv("FUSSCAT_BUDGET", str(entries - 1))
+                with pytest.raises(fc.BudgetError, match=(
+                        "^addresses of %d entries exceed the budget of %d$"
+                        % (entries, entries - 1))):
+                    fc.rotation_sites(t, params, direction)
+                checked += 1
+    assert checked > 20
+
+
 def test_rotate_right_shifts_the_grouping_window():
     e = fc.leaf()
     expected = fc.meet(
