@@ -34,26 +34,24 @@ DEFAULT_BUDGET = 1_000_000
 BUDGET_ENV_VAR = "FUSSCAT_BUDGET"
 
 
-def _budget(params: Params, length: int, budget: int | None) -> int:
-    """Refuse a length that params does not allow, then give the budget:
-    the argument, else the FUSSCAT_BUDGET environment variable, else
-    DEFAULT_BUDGET."""
+def _budget(params: Params, length: int) -> int:
+    """Refuse a length that params does not allow, then give the budget
+    of every budgeted route: the FUSSCAT_BUDGET environment variable,
+    else DEFAULT_BUDGET."""
     params.check_length(length)
-    if budget is None:
-        raw = os.environ.get(BUDGET_ENV_VAR, DEFAULT_BUDGET)
-        try:
-            budget = int(raw)
-        except ValueError:
-            raise DomainError("%s must be an integer, got %r"
-                              % (BUDGET_ENV_VAR, raw)) from None
-    return int(budget)
+    raw = os.environ.get(BUDGET_ENV_VAR, DEFAULT_BUDGET)
+    try:
+        return int(raw)
+    except ValueError:
+        raise DomainError("%s must be an integer, got %r"
+                          % (BUDGET_ENV_VAR, raw)) from None
 
 
-def _check_budget(params: Params, length: int, budget: int | None) -> None:
+def _check_budget(params: Params, length: int) -> None:
     """Refuse a length that params does not allow, then refuse when the
     m-ary trees of this length outnumber the budget; n internal nodes make
     at least 2^(n-1) trees, so a large n needs no count."""
-    budget = _budget(params, length, budget)
+    budget = _budget(params, length)
     n = length // params.step
     if n > budget.bit_length():
         raise BudgetError("at least 2**%d trees exceed the budget of %d"
@@ -63,15 +61,14 @@ def _check_budget(params: Params, length: int, budget: int | None) -> None:
         raise BudgetError("%d trees exceed the budget of %d" % (total, budget))
 
 
-def count_minimal_brute(params: Params, length: int,
-                        budget: int | None = None) -> int:
+def count_minimal_brute(params: Params, length: int) -> int:
     """Count the minimal tuples, one class each, in about count * L steps:
     walk only their tails, from the last entry back, each entry a multiple
     of s below K, with the entries from index i on summing to at most L-i
     (the path condition).  Refuses to start when the tuples it may walk,
     at most min(trees, k^(L-1)), or the L entries of one, outnumber the
-    budget (argument, else FUSSCAT_BUDGET, else one million)."""
-    budget = _budget(params, length, budget)
+    budget (FUSSCAT_BUDGET, else one million)."""
+    budget = _budget(params, length)
     n, k = length // params.step, params.k
     if k > 1 and n > budget.bit_length():  # both bounds are 2^(n-1) or more
         raise BudgetError("at least 2**%d tuples exceed the budget of %d"
@@ -118,19 +115,19 @@ class ClassReport(_Record):
         object.__setattr__(self, "traces", traces)
 
 
-def enumerate_classes(params: Params, leaves: int, with_traces: bool = False,
-                      budget: int | None = None) -> list[ClassReport]:
+def enumerate_classes(params: Params, leaves: int,
+                      with_traces: bool = False) -> list[ClassReport]:
     """Group every tree with the given leaf count into k-equivalence
     classes, reported in ascending order of minimal tuple.
 
-    Refuses to start when the tree count exceeds the budget (argument,
-    else the FUSSCAT_BUDGET environment variable, else one million).
+    Refuses to start when the tree count exceeds the budget (the
+    FUSSCAT_BUDGET environment variable, else one million).
     """
     from .dyck import DyckTuple, _coded_trees
     from .rotation import _traces
 
     length = leaves - 1
-    _check_budget(params, length, budget)
+    _check_budget(params, length)
 
     # A node count mod k is its entry's residue mod K, over s
     s, k = params.step, params.k
@@ -154,14 +151,13 @@ def enumerate_classes(params: Params, leaves: int, with_traces: bool = False,
     return reports
 
 
-def _count_classes(params: Params, length: int,
-                   budget: int | None = None) -> int:
+def _count_classes(params: Params, length: int) -> int:
     """len(enumerate_classes(params, length + 1)), under the same budget,
     with no tree: the distinct residue keys of every tuple, one held per
     class.  verify's classes route."""
     from .dyck import _entry_lists
 
-    _check_budget(params, length, budget)
+    _check_budget(params, length)
     modulus = params.modulus
     return len({tuple([e % modulus for e in entries[1:]])
                 for entries in _entry_lists(length, params.step)})

@@ -123,7 +123,7 @@ def rotation_sites(t: "Tree", params: Params, direction: str = "right") -> "list
         first = depths[parent] + 1 if top else 0
         depths += range(first, first + end - top)
     size = sum(depths[node] for node, *_ in moves)
-    budget = _budget(params, len(entries), None)
+    budget = _budget(params, len(entries))
     if size > budget:
         raise BudgetError("addresses of %d entries exceed the budget of %d"
                           % (size, budget))

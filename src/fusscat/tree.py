@@ -63,19 +63,9 @@ class Tree:
         return child_counts
 
     def __eq__(self, other) -> bool:
-        if self is other:
-            return True
         if not isinstance(other, Tree):
             return NotImplemented
-        pairs = [(self, other)]
-        while pairs:
-            a, b = pairs.pop()
-            if len(a.children) != len(b.children):
-                return False
-            for x, y in zip(a.children, b.children):
-                if x is not y:
-                    pairs.append((x, y))
-        return True
+        return self is other or self._child_counts() == other._child_counts()
 
     def __hash__(self) -> int:
         if self._hash is None:

@@ -246,54 +246,62 @@ def test_count_minimal_brute_builds_no_tuple(monkeypatch):
                     == counts[length], (m, k, length)
 
 
-def test_count_minimal_brute_matches_the_ballot_dp_within_the_budget():
+def test_count_minimal_brute_matches_the_ballot_dp_within_the_budget(
+        monkeypatch):
     import fusscat.counting
 
     budget = fusscat.counting.DEFAULT_BUDGET
+    monkeypatch.delenv("FUSSCAT_BUDGET", raising=False)
     for m in range(2, 6):
         lengths = [length for length in range(0, 60, m - 1)
                    if fc.fuss_catalan(m, length + 1) <= budget]
         for k in range(1, 7):
             counts = _ballot_minimal_counts(m, k, lengths[-1])
             for length in lengths:
-                assert fc.count_minimal_brute(fc.Params(m, k), length,
-                                              budget=budget) \
+                assert fc.count_minimal_brute(fc.Params(m, k), length) \
                     == counts[length], (m, k, length)
 
 
-def test_count_minimal_brute_walks_only_the_minimal_tuples():
+def test_count_minimal_brute_walks_only_the_minimal_tuples(monkeypatch):
     # Catalan(200), about 10**117 tuples, hold one minimal tuple at k = 1;
     # a walk over every tuple would never finish.
+    monkeypatch.setenv("FUSSCAT_BUDGET", str(10**120))
     start = time.monotonic()
-    assert fc.count_minimal_brute(fc.Params(2, 1), 200, budget=10**120) == 1
+    assert fc.count_minimal_brute(fc.Params(2, 1), 200) == 1
     assert time.monotonic() - start < 2.0
 
 
-def test_count_minimal_brute_budget():
+def test_count_minimal_brute_budget(monkeypatch):
     # The brute budgets the tuples it may walk, min(trees, k^(L-1)), and
     # the L entries of one: 12 trees at (3, 2, 6), 2^15 tails at
     # (3, 2, 16), which has 43,263 trees, and one tuple at k = 1.
     # (2, 2, 14) has 2,674,440 trees, past the default budget, but 2^13
     # tails.
+    monkeypatch.setenv("FUSSCAT_BUDGET", "5")
     with pytest.raises(fc.BudgetError, match="^12 tuples exceed the budget "
                        "of 5$"):
-        fc.count_minimal_brute(P32, 6, budget=5)
-    assert fc.count_minimal_brute(P32, 6, budget=12) == 10
+        fc.count_minimal_brute(P32, 6)
+    monkeypatch.setenv("FUSSCAT_BUDGET", "12")
+    assert fc.count_minimal_brute(P32, 6) == 10
+    monkeypatch.setenv("FUSSCAT_BUDGET", "32767")
     with pytest.raises(fc.BudgetError, match="^32768 tuples exceed the "
                        "budget of 32767$"):
-        fc.count_minimal_brute(P32, 16, budget=32767)
-    assert fc.count_minimal_brute(P32, 16, budget=32768) == 6435
+        fc.count_minimal_brute(P32, 16)
+    monkeypatch.setenv("FUSSCAT_BUDGET", "32768")
+    assert fc.count_minimal_brute(P32, 16) == 6435
+    monkeypatch.delenv("FUSSCAT_BUDGET")
     assert fc.count_minimal_brute(fc.Params(2, 2), 14) == 8192
+    monkeypatch.setenv("FUSSCAT_BUDGET", "9")
     with pytest.raises(fc.BudgetError, match="^tuples of 10 entries exceed "
                        "the budget of 9$"):
-        fc.count_minimal_brute(fc.Params(2, 1), 10, budget=9)
-    assert fc.count_minimal_brute(fc.Params(2, 1), 10, budget=10) == 1
+        fc.count_minimal_brute(fc.Params(2, 1), 10)
+    monkeypatch.setenv("FUSSCAT_BUDGET", "10")
+    assert fc.count_minimal_brute(fc.Params(2, 1), 10) == 1
 
 
 @pytest.mark.parametrize("route,unit", [
     (fc.count_minimal_brute, "tuples"),
-    (lambda p, n, **budget: fc.enumerate_classes(p, n + 1, **budget),
-     "trees"),
+    (lambda p, n: fc.enumerate_classes(p, n + 1), "trees"),
 ], ids=["count_minimal_brute", "enumerate_classes"])
 def test_a_huge_size_is_refused_without_counting_its_trees(route, unit,
                                                            monkeypatch):
@@ -314,9 +322,10 @@ def test_a_huge_size_is_refused_without_counting_its_trees(route, unit,
         route(fc.Params(2, 2), 22)
     with pytest.raises(fc.BudgetError):
         route(fc.Params(2, 2), 10**12 - 1)
+    monkeypatch.setenv("FUSSCAT_BUDGET", "7")
     with pytest.raises(fc.BudgetError, match=r"^at least 2\*\*3 %s "
                        "exceed the budget of 7$" % unit):
-        route(fc.Params(3, 2), 8, budget=7)
+        route(fc.Params(3, 2), 8)
 
 
 def test_degenerate_k_one_gives_full_associativity(large_budget):
@@ -661,10 +670,12 @@ def test_threads_that_fill_the_store_get_the_cold_reports(monkeypatch):
     assert _stored_trees() <= dyck._CODED_CAP
 
 
-def test_enumerate_classes_budget():
+def test_enumerate_classes_budget(monkeypatch):
+    monkeypatch.setenv("FUSSCAT_BUDGET", "5")
     with pytest.raises(fc.BudgetError):
-        fc.enumerate_classes(P32, 7, budget=5)
-    assert len(fc.enumerate_classes(P32, 7, budget=12)) == 10
+        fc.enumerate_classes(P32, 7)
+    monkeypatch.setenv("FUSSCAT_BUDGET", "12")
+    assert len(fc.enumerate_classes(P32, 7)) == 10
 
 
 def test_the_classes_route_counts_what_enumerate_classes_lists():
@@ -683,8 +694,12 @@ def test_the_classes_route_keeps_the_tree_budget(length, budget, monkeypatch):
     import fusscat.dyck
     from fusscat.counting import _count_classes
 
+    if budget is None:
+        monkeypatch.delenv("FUSSCAT_BUDGET", raising=False)
+    else:
+        monkeypatch.setenv("FUSSCAT_BUDGET", str(budget))
     with pytest.raises(fc.BudgetError) as expected:
-        fc.enumerate_classes(fc.Params(2, 2), length + 1, budget=budget)
+        fc.enumerate_classes(fc.Params(2, 2), length + 1)
 
     def refuse(*args):
         raise AssertionError("tuples walked past the budget")
@@ -692,7 +707,7 @@ def test_the_classes_route_keeps_the_tree_budget(length, budget, monkeypatch):
     monkeypatch.setattr(fusscat.dyck, "_entry_lists", refuse)
     with pytest.raises(fc.BudgetError, match="^%s$"
                        % re.escape(str(expected.value))):
-        _count_classes(fc.Params(2, 2), length, budget)
+        _count_classes(fc.Params(2, 2), length)
 
 
 def test_enumerate_classes_checks_the_budget_before_building(monkeypatch):
@@ -703,24 +718,35 @@ def test_enumerate_classes_checks_the_budget_before_building(monkeypatch):
 
     # Catalan(40) trees: building them first would never finish.
     monkeypatch.setattr(fusscat.dyck, "_coded_trees", refuse)
+    monkeypatch.setenv("FUSSCAT_BUDGET", "10")
     with pytest.raises(fc.BudgetError):
-        fc.enumerate_classes(fc.Params(2, 1), 41, budget=10)
+        fc.enumerate_classes(fc.Params(2, 1), 41)
 
 
 def test_budget_env_var(monkeypatch):
+    # Every budgeted route reads the one setting.  The right sites of the
+    # 13-leaf left comb have addresses of 0 + 1 + 2 + 3 = 6 entries.
+    from fusscat.counting import _count_classes
+
+    t = fc.left_assoc_meet([fc.leaf()] * 13, P32)
+    routes = [lambda: fc.enumerate_classes(P32, 7),
+              lambda: fc.count_minimal_brute(P32, 6),
+              lambda: _count_classes(P32, 6),
+              lambda: fc.rotation_sites(t, P32)]
     monkeypatch.setenv("FUSSCAT_BUDGET", "5")
-    with pytest.raises(fc.BudgetError):
-        fc.enumerate_classes(P32, 7)
-    with pytest.raises(fc.BudgetError):
-        fc.count_minimal_brute(P32, 6)
+    for route in routes:
+        with pytest.raises(fc.BudgetError):
+            route()
     monkeypatch.setenv("FUSSCAT_BUDGET", "notanumber")
-    with pytest.raises(fc.DomainError):
-        fc.enumerate_classes(P32, 7)
-    with pytest.raises(fc.DomainError):
-        fc.count_minimal_brute(P32, 6)
+    for route in routes:
+        with pytest.raises(fc.DomainError, match="^FUSSCAT_BUDGET must be an "
+                           "integer, got 'notanumber'$"):
+            route()
     monkeypatch.delenv("FUSSCAT_BUDGET")
     assert len(fc.enumerate_classes(P32, 7)) == 10
     assert fc.count_minimal_brute(P32, 6) == 10
+    assert _count_classes(P32, 6) == 10
+    assert len(fc.rotation_sites(t, P32)) == 4
 
 
 def test_enumerate_classes_rejects_bad_leaf_count():
