@@ -17,9 +17,17 @@ C(mn-ik, L), from C(mn, L), and takes each next one with one multiply
 and one exact division.  `count` and `table` load this module alone;
 the enumerating routes in `counting` check their budgets with
 `fuss_catalan`.
+
+`modular_fuss_catalan` makes no Python call before its sum but the
+work check: it tests the size with inline arithmetic on m and calls
+`Params.check_length` only to refuse, so the rule keeps its one message.
+Cold calls are why: a count whose code is out of the CPU's caches, as
+the CLI's one count or a table cell after a collection, pays most for
+each frame it enters, and at a small L the sum is a few multiplications.
 """
 
 from math import comb, perm
+from sys import maxsize
 
 from .errors import BudgetError, InternalInvariantError
 from .params import Params
@@ -60,14 +68,17 @@ def fuss_catalan(m: int, leaves: int) -> int:
 def modular_fuss_catalan(params: Params, length: int) -> int:
     """Number of k-equivalence classes of tuples of the given length;
     refuses a sum past FORMULA_WORK_LIMIT."""
-    params.check_length(length)
+    m = params.m
+    if type(length) is not int or length < 0 or length % (m - 1) \
+            or length > maxsize:
+        params.check_length(length)  # refuses every such length
     if length == 0:
         return 1  # the bare operand
-    k, n = params.k, length // params.step  # n internal nodes
+    k, n = params.k, length // (m - 1)  # n internal nodes
     _check_work(length, n // k + 1)
     # The term at i-1 times -(L-i+1) perm(top-L,k), with top = mn-(i-1)k,
     # is the term at i times i perm(top,k), so the division is exact.
-    top = params.m * n
+    top = m * n
     term = comb(top, length)
     total = n * term
     for i in range(1, n // k + 1):

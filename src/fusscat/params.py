@@ -79,9 +79,12 @@ class Params(_Record):
         return length >= 0 and length % (self.m - 1) == 0
 
     def check_length(self, length: int) -> None:
-        """Raise ArityError unless some m-ary tree has length + 1 leaves,
-        and DomainError for a length above sys.maxsize, the largest size
-        the binomials of the counts accept."""
+        """Raise DomainError unless the length is an int (a bool or a
+        float is none), then ArityError unless some m-ary tree has
+        length + 1 leaves, and DomainError for a length above
+        sys.maxsize, the largest size the binomials of the counts accept."""
+        if type(length) is not int:
+            raise DomainError("length must be an integer, got %r" % (length,))
         if not self.fits(length):
             raise ArityError("no %d-ary tree has %d leaves (length %d)"
                              % (self.m, length + 1, length))

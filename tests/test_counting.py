@@ -185,6 +185,53 @@ def test_formula_agrees_with_ballot_dp_near_length_1000():
             == counts[length], (m, k, length)
 
 
+def test_the_formula_calls_nothing_in_params_on_a_size_that_fits(
+        monkeypatch):
+    # every cell of perfbench's count_table, and the bare operand
+    def refuse(*args):
+        raise AssertionError("the formula called into Params")
+
+    monkeypatch.setattr(fc.Params, "check_length", refuse)
+    monkeypatch.setattr(fc.Params, "fits", refuse)
+    monkeypatch.setattr(fc.Params, "step", property(refuse))
+    cells = 0
+    for m in (2, 3, 4):
+        for k in range(1, 9):
+            counts = _ballot_minimal_counts(m, k, 40)
+            params = fc.Params(m, k)
+            for length in range(0, 41, m - 1):
+                assert fc.modular_fuss_catalan(params, length) \
+                    == counts[length], (m, k, length)
+                cells += length > 0
+    assert cells == 584
+
+
+def test_the_formula_takes_n_over_k_plus_one_terms(monkeypatch):
+    # Clock-free: the first term is one binomial, and each next one is
+    # one multiply and one division by perm(top - L, k) and perm(top, k).
+    from fusscat import formula
+
+    calls = {"comb": 0, "perm": 0}
+
+    def counted(name, call):
+        def wrapper(*args):
+            calls[name] += 1
+            return call(*args)
+        return wrapper
+
+    monkeypatch.setattr(formula, "comb", counted("comb", formula.comb))
+    monkeypatch.setattr(formula, "perm", counted("perm", formula.perm))
+    for m in (2, 3, 4):
+        for k in (1, 2, 8):
+            for length in (10, 100, 1000):
+                length -= length % (m - 1)
+                n = length // (m - 1)
+                calls.update(comb=0, perm=0)
+                fc.modular_fuss_catalan(fc.Params(m, k), length)
+                assert calls == {"comb": 1, "perm": 2 * (n // k)}, \
+                    (m, k, length)
+
+
 @pytest.mark.parametrize("call", [
     lambda: fc.fuss_catalan(2, 2**62 + 1),
     lambda: fc.modular_fuss_catalan(fc.Params(2, 1), 10**6),

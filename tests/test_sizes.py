@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import re
 import sys
+from functools import partial
 
 import pytest
 
@@ -33,12 +34,33 @@ def test_fits_is_the_rule():
 
 @pytest.mark.parametrize("name", sorted(SIZED))
 @pytest.mark.parametrize("m,length", [(2, -2), (3, -2), (3, 3), (4, -2),
-                                      (4, 4), (4, 5)])
+                                      (4, 4), (4, 5), (2, -1), (5, 3),
+                                      (5, 5), (6, 4), (6, 6)])
 def test_every_sized_function_gives_the_one_message(name, m, length):
     message = "no %d-ary tree has %d leaves (length %d)" % (
         m, length + 1, length)
     with pytest.raises(fc.ArityError, match="^%s$" % re.escape(message)):
         SIZED[name](fc.Params(m, 2), length)
+
+
+@pytest.mark.parametrize("name", sorted(SIZED))
+@pytest.mark.parametrize("length", [3.5, 4.0])
+def test_every_sized_function_refuses_a_length_that_is_not_an_int(
+        name, length):
+    with pytest.raises(fc.DomainError, match="^length must be an integer, "
+                       "got %s$" % re.escape(repr(length))):
+        SIZED[name](fc.Params(2, 2), length)
+
+
+# The routes that take a leaf count add one to a bool length, which makes
+# it an int, so only the routes that take the length itself see a bool.
+@pytest.mark.parametrize("name", ["count_minimal_brute", "enumerate_tuples",
+                                  "modular_fuss_catalan"])
+@pytest.mark.parametrize("length", [True, False])
+def test_a_bool_length_is_refused(name, length):
+    with pytest.raises(fc.DomainError, match="^length must be an integer, "
+                       "got %r$" % length):
+        SIZED[name](fc.Params(2, 2), length)
 
 
 def test_count_gives_the_one_message(capsys):
@@ -73,13 +95,35 @@ def test_runs_that_do_not_fold_keep_their_own_message(operands):
             fc.parse(" ".join("x" * operands), params)
 
 
-@pytest.mark.parametrize("call", [
-    lambda: fc.fuss_catalan(2, 2**63 + 1),
-    lambda: fc.modular_fuss_catalan(fc.Params(2, 1), 2**63),
-    lambda: fc.enumerate_classes(fc.Params(2, 1), 2**63 + 1),
-], ids=["fuss_catalan", "modular_fuss_catalan", "enumerate_classes"])
-def test_a_size_past_sys_maxsize_is_refused(call):
-    with pytest.raises(fc.DomainError, match="^length 9223372036854775808 "):
+# sys.maxsize is odd: no ternary tree has that length, and the even length
+# past it fits but is too large.  Every length fits at m = 2, so sys.maxsize
+# passes the size rule there and a budget refuses it.
+PAST_MAXSIZE = "^length 9223372036854775808 "
+MAXSIZE_EDGES = [
+    ("m3-maxsize", 3, sys.maxsize, fc.ArityError,
+     "^no 3-ary tree has %d leaves " % (sys.maxsize + 1)),
+    ("m3-past-maxsize", 3, sys.maxsize + 1, fc.DomainError,
+     "^length %d is above the largest " % (sys.maxsize + 1)),
+    ("m2-maxsize", 2, sys.maxsize, fc.BudgetError,
+     "exceed the budget|work limit"),
+]
+
+
+@pytest.mark.parametrize("call,error,match", [
+    pytest.param(lambda: fc.fuss_catalan(2, 2**63 + 1),
+                 fc.DomainError, PAST_MAXSIZE, id="fuss_catalan"),
+    pytest.param(lambda: fc.modular_fuss_catalan(fc.Params(2, 1), 2**63),
+                 fc.DomainError, PAST_MAXSIZE, id="modular_fuss_catalan"),
+    pytest.param(lambda: fc.enumerate_classes(fc.Params(2, 1), 2**63 + 1),
+                 fc.DomainError, PAST_MAXSIZE, id="enumerate_classes"),
+] + [
+    pytest.param(partial(SIZED[name], fc.Params(m, 1), length), error,
+                 match, id="%s-%s" % (name, label))
+    for name in ("fuss_catalan", "modular_fuss_catalan", "enumerate_classes")
+    for label, m, length, error, match in MAXSIZE_EDGES
+])
+def test_a_size_past_sys_maxsize_is_refused(call, error, match):
+    with pytest.raises(error, match=match):
         call()
 
 
