@@ -23,14 +23,21 @@ class ExponentVector(_Record):
 
     def __init__(self, modulus: int, entries: tuple[int, ...]):
         entries = tuple(entries)
-        object.__setattr__(self, "modulus", modulus)
-        object.__setattr__(self, "entries", entries)
+        _set_modulus(self, modulus)
+        _set_entries(self, entries)
+        if type(modulus) is not int:
+            raise FormatError("modulus must be a positive integer, got %r"
+                              % (modulus,))
         if modulus < 1:
             raise FormatError("modulus must be positive, got %r" % (modulus,))
         if any(type(e) is not int or not 0 <= e < modulus
                for e in entries):
             raise FormatError("entries must be residues in [0, %d)"
                               % modulus)
+
+
+_set_modulus = ExponentVector.modulus.__set__
+_set_entries = ExponentVector.entries.__set__
 
 
 def eval_recursive(t: Tree, params: Params) -> ExponentVector:

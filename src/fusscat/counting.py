@@ -23,7 +23,7 @@ import os
 
 from .errors import BudgetError, DomainError
 from .formula import fuss_catalan, modular_fuss_catalan  # verify's route
-from .params import Params, _Record
+from .params import Params, _Record, _length_of
 
 # The functions that walk trees or tuples import the tree and tuple
 # layers when they run, so verify's formula and brute load neither.
@@ -109,10 +109,14 @@ class ClassReport(_Record):
     def __init__(self, representative: "DyckTuple", size: int,
                  members: "tuple[Tree, ...]",
                  traces: tuple[tuple[RotationStep, ...], ...] | None = None):
-        object.__setattr__(self, "representative", representative)
-        object.__setattr__(self, "size", size)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "traces", traces)
+        _set_representative(self, representative)
+        _set_size(self, size)
+        _set_members(self, members)
+        _set_traces(self, traces)
+
+
+_set_representative, _set_size, _set_members, _set_traces = (
+    getattr(ClassReport, name).__set__ for name in ClassReport.__slots__)
 
 
 def enumerate_classes(params: Params, leaves: int,
@@ -126,7 +130,7 @@ def enumerate_classes(params: Params, leaves: int,
     from .dyck import DyckTuple, _coded_trees
     from .rotation import _traces
 
-    length = leaves - 1
+    length = _length_of(leaves)
     _check_budget(params, length)
 
     # A node count mod k is its entry's residue mod K, over s

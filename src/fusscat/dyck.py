@@ -35,7 +35,7 @@ through _tree, when they first run.
 from itertools import accumulate
 
 from .errors import FormatError, InternalInvariantError, SizeError
-from .params import Params, _Record, _check_option
+from .params import Params, _Record, _check_option, _length_of
 
 
 class _TreeLayer:
@@ -58,8 +58,8 @@ class DyckTuple(_Record):
 
     def __init__(self, entries: tuple[int, ...], step: int):
         entries = tuple(entries)  # the same object when given a tuple
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "step", step)
+        _set_entries(self, entries)
+        _set_step(self, step)
         if not (type(step) is int and step >= 1):
             raise FormatError("step must be a positive integer, got %r"
                               % (step,))
@@ -87,6 +87,9 @@ class DyckTuple(_Record):
 
     def __iter__(self):
         return iter(self.entries)
+
+
+_set_entries, _set_step = DyckTuple.entries.__set__, DyckTuple.step.__set__
 
 
 def _check_step(d: DyckTuple, params: Params) -> None:
@@ -178,7 +181,7 @@ def _decode(d: DyckTuple) -> "Tree":
 def enumerate_trees(params: Params, leaves: int) -> "Iterator[Tree]":
     """Every tree with the given number of leaves, in the order of their
     tuples from enumerate_tuples, which checks the size at the call."""
-    return map(_decode, enumerate_tuples(params, leaves - 1))
+    return map(_decode, enumerate_tuples(params, _length_of(leaves)))
 
 
 _CODED_CAP = 2**15  # the trees that _coded_trees keeps, over all arities

@@ -30,7 +30,7 @@ from math import comb, perm
 from sys import maxsize
 
 from .errors import BudgetError, InternalInvariantError
-from .params import Params
+from .params import Params, _length_of
 
 # The most work the formulas take on, in units of terms * L^2: the
 # estimate prices each of T terms at length L as a product of binomials
@@ -55,9 +55,9 @@ def _check_work(length: int, terms: int) -> None:
 def fuss_catalan(m: int, leaves: int) -> int:
     """Number of m-ary trees with the given leaf count; refuses a count
     past FORMULA_WORK_LIMIT."""
-    Params(m, 1).check_length(leaves - 1)
-    _check_work(leaves - 1, 1)
-    n = (leaves - 1) // (m - 1)  # internal nodes
+    Params(m, 1).check_length(length := _length_of(leaves))
+    _check_work(length, 1)
+    n = length // (m - 1)  # internal nodes
     q, r = divmod(comb(m * n, n), (m - 1) * n + 1)
     if r:
         raise InternalInvariantError("binom(%d,%d) not divisible by %d"

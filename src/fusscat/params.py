@@ -22,7 +22,10 @@ class _Record:
     """Immutable value with the fields named in `__slots__`, in order.
     It compares and hashes as the tuple of its fields, never equals an
     instance of another class, and prints as Name(field=value, ...).
-    A subclass sets its fields in `__init__` with object.__setattr__."""
+    A subclass sets its fields in `__init__` through its slots' own
+    setters, each bound once below the class (`_set_m = Params.m.__set__`):
+    a slot's setter skips the generic attribute-set path of
+    object.__setattr__, which cost most of a cold Params(m, k)."""
 
     __slots__ = ()
 
@@ -55,8 +58,8 @@ class Params(_Record):
     __slots__ = ("m", "k")
 
     def __init__(self, m: int, k: int):
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "k", k)
+        _set_m(self, m)
+        _set_k(self, k)
         if not (type(m) is int and m >= 2):
             raise DomainError("arity m must be an integer >= 2, got %r" % (m,))
         if not (type(k) is int and k >= 1):
@@ -91,3 +94,14 @@ class Params(_Record):
         if length > sys.maxsize:
             raise DomainError("length %d is above the largest supported "
                               "size %d" % (length, sys.maxsize))
+
+
+_set_m, _set_k = Params.m.__set__, Params.k.__set__
+
+
+def _length_of(leaves: int) -> int:
+    """The length of a leaf count, leaves - 1; raises DomainError for a
+    leaf count that is not an int (a bool or a float is none)."""
+    if type(leaves) is not int:
+        raise DomainError("leaf count must be an integer, got %r" % (leaves,))
+    return leaves - 1

@@ -268,7 +268,7 @@ class DepthMatrix(_Record):
 
     def __init__(self, rows: tuple[tuple[int, ...], ...]):
         rows = tuple(map(tuple, rows))
-        object.__setattr__(self, "rows", rows)
+        _set_rows(self, rows)
         if not rows:
             raise FormatError("depth matrix needs at least one row")
         width = len(rows[0])
@@ -294,6 +294,9 @@ class DepthMatrix(_Record):
                               % (self.arity, params.m))
         return [sum(i * depth for i, depth in enumerate(column[::-1]))
                 for column in zip(*self.rows)]
+
+
+_set_rows = DepthMatrix.rows.__set__
 
 
 def depth_matrix(t: Tree, params: Params) -> DepthMatrix:

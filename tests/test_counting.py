@@ -734,6 +734,31 @@ def test_the_classes_route_counts_what_enumerate_classes_lists():
                 fc.enumerate_classes(params, leaves)), (params, leaves)
 
 
+def test_the_classes_route_walks_one_entry_list_per_tree(monkeypatch):
+    # Clock-free: on a ladder of 1, 2, 4 and 8 internal nodes the route
+    # walks each tuple once, and no more.
+    from fusscat.counting import _count_classes
+
+    walked = [0]
+    entry_lists = dyck._entry_lists
+
+    def counted(length, s):
+        for entries in entry_lists(length, s):
+            walked[0] += 1
+            yield entries
+
+    monkeypatch.setattr(dyck, "_entry_lists", counted)
+    for m in (2, 3):
+        for k in (1, 2, 3):
+            params = fc.Params(m, k)
+            for n in (1, 2, 4, 8):
+                length, walked[0] = n * (m - 1), 0
+                assert _count_classes(params, length) == \
+                    fc.modular_fuss_catalan(params, length)
+                assert walked[0] == fc.fuss_catalan(m, length + 1), \
+                    (m, k, length)
+
+
 @pytest.mark.parametrize("length,budget", [(6, 5), (6, 11), (21, None),
                                            (10**12, 10)])
 def test_the_classes_route_keeps_the_tree_budget(length, budget, monkeypatch):

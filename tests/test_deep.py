@@ -70,6 +70,22 @@ def _shape(name: str):
     return SHAPES[name](OPERANDS)
 
 
+@pytest.mark.parametrize("operands", [10**3, 10**4, OPERANDS])
+def test_the_text_and_canonical_routes_build_one_tuple_at_every_size(
+        operands, tuples_built):
+    # Clock-free: parse and canonicalize each check one tuple, and unparse
+    # prints a decoded tree from the tuple it keeps, at every size.
+    text, built = _random(operands)[0], []
+    del tuples_built[:]
+    tree = fc.parse(text, P)
+    built.append(len(tuples_built))
+    fc.canonicalize(fc.to_dyck(tree, P), P)
+    built.append(len(tuples_built))
+    assert fc.unparse(tree) == text
+    built.append(len(tuples_built))
+    assert built == [1, 2, 2]
+
+
 @pytest.fixture
 def budget():
     start = time.monotonic()

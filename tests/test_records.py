@@ -177,3 +177,12 @@ def test_copy_and_pickle_round_trip(record, fields, text):
 def test_validation_errors_are_unchanged(build, error, message):
     with pytest.raises(error, match="^%s$" % re.escape(message)):
         build()
+
+
+@pytest.mark.parametrize("modulus", [2.5, 4.0, True, False, "a", None])
+def test_exponent_vector_refuses_a_modulus_that_is_not_an_int(modulus):
+    # As DyckTuple refuses such a step: a bool is no modulus, and a string
+    # no longer reaches the comparison's TypeError.
+    with pytest.raises(fc.FormatError, match="^modulus must be a positive "
+                       "integer, got %s$" % re.escape(repr(modulus))):
+        fc.ExponentVector(modulus, ())

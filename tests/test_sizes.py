@@ -23,6 +23,12 @@ SIZED = {
     "enumerate_tuples": lambda p, n: list(fc.enumerate_tuples(p, n)),
     "enumerate_trees": lambda p, n: list(fc.enumerate_trees(p, n + 1)),
 }
+# Each takes (params, leaf count N) and fails unless N is an int.
+LEAF_COUNTED = {
+    "fuss_catalan": lambda p, leaves: fc.fuss_catalan(p.m, leaves),
+    "enumerate_classes": fc.enumerate_classes,
+    "enumerate_trees": fc.enumerate_trees,
+}
 
 
 def test_fits_is_the_rule():
@@ -47,13 +53,27 @@ def test_every_sized_function_gives_the_one_message(name, m, length):
 @pytest.mark.parametrize("length", [3.5, 4.0])
 def test_every_sized_function_refuses_a_length_that_is_not_an_int(
         name, length):
-    with pytest.raises(fc.DomainError, match="^length must be an integer, "
-                       "got %s$" % re.escape(repr(length))):
+    # A route that takes a leaf count is given length + 1, and names it.
+    what, value = (("leaf count", length + 1) if name in LEAF_COUNTED
+                   else ("length", length))
+    with pytest.raises(fc.DomainError, match="^%s must be an integer, "
+                       "got %s$" % (what, re.escape(repr(value)))):
         SIZED[name](fc.Params(2, 2), length)
 
 
+# A bool is an int subclass, but True is not one leaf; refused at the call,
+# before the leaf count is turned into a length.
+@pytest.mark.parametrize("name", sorted(LEAF_COUNTED))
+@pytest.mark.parametrize("leaves", [True, False, 3.0, 2.5, "3"])
+def test_a_leaf_count_that_is_not_an_int_is_refused(name, leaves):
+    with pytest.raises(fc.DomainError, match="^leaf count must be an "
+                       "integer, got %s$" % re.escape(repr(leaves))):
+        LEAF_COUNTED[name](fc.Params(2, 2), leaves)
+
+
 # The routes that take a leaf count add one to a bool length, which makes
-# it an int, so only the routes that take the length itself see a bool.
+# it an int, so only the routes that take the length itself see a bool
+# here; test_a_leaf_count_that_is_not_an_int_is_refused gives the others one.
 @pytest.mark.parametrize("name", ["count_minimal_brute", "enumerate_tuples",
                                   "modular_fuss_catalan"])
 @pytest.mark.parametrize("length", [True, False])

@@ -28,6 +28,19 @@ def test_sources_parse_as_python_3_10():
         ast.parse(path.read_text(), str(path), feature_version=(3, 10))
 
 
+def test_no_record_field_is_set_through_object_setattr():
+    # Each record sets its fields through its own slots' setters, bound
+    # once at import: the generic object.__setattr__ path cost most of a
+    # cold Params(m, k), and count_table builds one per op.  Any mention
+    # counts, a call or an alias of it.
+    found = ["%s:%d" % (path.name, node.lineno)
+             for path in SOURCES
+             for node in ast.walk(ast.parse(path.read_text(), str(path)))
+             if isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+             and isinstance(node.value, ast.Name) and node.value.id == "object"]
+    assert found == []
+
+
 def test_the_tree_layer_imports_no_tuple_layer():
     # dyck builds on tree; tree decodes its own roots, so the import runs
     # one way only.
